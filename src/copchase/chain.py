@@ -204,11 +204,15 @@ def validate_strategy(g: Graph, strategy: FixedStrategy) -> None:
 
 def default_round_cap(g: Graph) -> int:
     """Round budget 10 * D * max_degree**D, capped at 10**6."""
+    return _round_cap(g, 10)
+
+
+def _round_cap(g: Graph, multiplier: int) -> int:
+    """multiplier * D * max_degree**D, capped at MAX_ROUND_CAP, in exact integers."""
     diag = validate(g)
     if diag.diameter == 0:
         return 1
-    budget = 10.0 * diag.diameter * float(diag.max_degree) ** diag.diameter
-    return int(min(budget, MAX_ROUND_CAP))
+    return min(multiplier * diag.diameter * diag.max_degree**diag.diameter, MAX_ROUND_CAP)
 
 
 @dataclass

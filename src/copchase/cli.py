@@ -23,6 +23,7 @@ from .chain import (
 from .graphs import FamilySpec, Graph, GraphError, read_edge_list
 from .montecarlo import SimulationError
 from .solver import (
+    DEFAULT_STATE_CAP,
     ConvergenceError,
     CopNumberError,
     SolveOptions,
@@ -40,20 +41,9 @@ EXIT_NO_CONVERGENCE = 4
 EXIT_INFINITE = 5
 
 STATE_CAP_ENV = "COPCHASE_STATE_CAP"
-DEFAULT_STATE_CAP = 5_000_000
 
 _FAMILY_ALIASES = {"tree": "complete-tree"}
 SWEEP_COLUMNS = ["family", "n", "c", "k", "ct", "dct", "F", "sweeps", "wall_time_s", "error"]
-
-
-def _default_state_cap() -> int:
-    raw = os.environ.get(STATE_CAP_ENV)
-    if raw is None:
-        return DEFAULT_STATE_CAP
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise GraphError(f"{STATE_CAP_ENV} must be an integer, got {raw!r}") from exc
 
 
 def _add_graph_args(p: argparse.ArgumentParser) -> None:
@@ -91,9 +81,15 @@ def _build_graph(args) -> Graph:
 
 
 def _state_cap(args) -> int:
-    if getattr(args, "state_cap", None):
-        return args.state_cap
-    return _default_state_cap()
+    env = os.environ.get(STATE_CAP_ENV, DEFAULT_STATE_CAP)
+    raw = env if args.state_cap is None else args.state_cap
+    try:
+        cap = int(raw)  # only the environment value can fail here
+    except ValueError as exc:
+        raise GraphError(f"{STATE_CAP_ENV} must be an integer, got {raw!r}") from exc
+    if cap < 1:
+        raise GraphError(f"the state cap must be a positive integer, got {cap}")
+    return cap
 
 
 def _opts(args) -> SolveOptions:

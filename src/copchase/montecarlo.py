@@ -14,13 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import FixedStrategy, validate_strategy
-from .graphs import Graph, distance_matrix, validate
-from .solver import FeedbackPolicy
+from .chain import FixedStrategy, _cops_can_move, _round_cap, validate_strategy
+from .graphs import Graph, distance_matrix
+from .solver import FeedbackPolicy, _config_rank
 
 RNG_NAME = "philox4x64"
 _TAGS = {"placement": 0, "robber": 1, "cops": 2, "walk": 3, "evader": 4}
-MAX_ROUND_CAP = 10**6
+CENSOR_MULTIPLIER = 100
 
 EVADER_HEURISTICS = ("max-distance-greedy", "uniform-random")
 
@@ -78,34 +78,17 @@ class SimReport:
         return json.dumps(self.to_dict())
 
 
-def _stream(seed, tag: str, step: int) -> np.random.Generator:
-    return _as_seed(seed).stream(tag, step)
-
-
-def _censor_cap(g: Graph) -> int:
-    diag = validate(g)
-    if diag.diameter == 0:
-        return 1
-    budget = 100.0 * diag.diameter * float(diag.max_degree) ** diag.diameter
-    return int(min(budget, MAX_ROUND_CAP))
-
-
-def _open_csr(g: Graph):
-    deg = np.array([g.degree(v) for v in range(g.n)], dtype=np.int64)
-    start = np.zeros(g.n, dtype=np.int64)
-    np.cumsum(deg[:-1], out=start[1:])
-    flat = np.array([u for v in range(g.n) for u in g.adjacency[v]], dtype=np.int64)
-    return flat, start, deg
-
-
-def _closed_csr(g: Graph):
-    deg = np.array([g.degree(v) + 1 for v in range(g.n)], dtype=np.int64)
-    start = np.zeros(g.n, dtype=np.int64)
-    np.cumsum(deg[:-1], out=start[1:])
-    flat = np.array(
-        [u for v in range(g.n) for u in g.closed_neighbors(v)], dtype=np.int64
-    )
-    return flat, start, deg
+def _neighbor_table(g: Graph, closed: bool):
+    """Sorted open or closed neighbourhoods as an (n, max degree) table, and
+    their sizes. Short rows repeat their first entry: table[v, floor(u *
+    deg[v])] is uniform for u in [0, 1), and a first-hit argmax skips pads."""
+    rows = [g.closed_neighbors(v) if closed else g.adjacency[v] for v in range(g.n)]
+    deg = np.array([len(row) for row in rows], dtype=np.int64)
+    table = np.empty((g.n, int(deg.max())), dtype=np.int64)
+    for v, row in enumerate(rows):
+        table[v, : len(row)] = row
+        table[v, len(row):] = row[0]
+    return table, deg
 
 
 def _report(T: np.ndarray, seed: int) -> SimReport:
@@ -137,8 +120,6 @@ def _assert_robber_steps(g: Graph, before: np.ndarray, after: np.ndarray) -> Non
 
 
 def _assert_config_moves(g: Graph, configs, src_idx: np.ndarray, dst_idx: np.ndarray) -> None:
-    from .chain import _cops_can_move
-
     pairs = {(int(a), int(b)) for a, b in zip(src_idx, dst_idx)}
     for a, b in pairs:
         assert _cops_can_move(g, configs[a], configs[b]), (
@@ -165,7 +146,7 @@ def simulate_drunk_pursuit(
         raise SimulationError("trials must be >= 1")
     seed = _as_seed(seed)
     if max_rounds is None:
-        max_rounds = _censor_cap(g)
+        max_rounds = _round_cap(g, CENSOR_MULTIPLIER)
     n = g.n
     if n == 1:
         T = np.zeros(trials, dtype=np.int64)
@@ -180,16 +161,15 @@ def simulate_drunk_pursuit(
             raise SimulationError("feedback policies need an initial configuration")
         succ_idx = policy.successor_idx
         occupied = np.zeros((len(policy.configs), n), dtype=bool)
-        for i, cfg in enumerate(policy.configs):
-            occupied[i, list(cfg)] = True
+        np.put_along_axis(occupied, np.array(policy.configs), True, axis=1)
         try:
-            start_idx = policy.configs.index(tuple(sorted(start)))
-        except ValueError as exc:
+            start_idx = _config_rank(n, policy.k, start)
+        except (KeyError, ValueError) as exc:
             raise SimulationError(f"unknown start configuration {start!r}") from exc
 
-    flat, start_off, deg = _open_csr(g)
+    nbrs, deg = _neighbor_table(g, closed=False)
 
-    y = _stream(seed, "placement", 0).integers(0, n, size=trials)
+    y = seed.stream("placement", 0).integers(0, n, size=trials)
     T = np.full(trials, -1, dtype=np.int64)
 
     if fixed:
@@ -204,7 +184,7 @@ def simulate_drunk_pursuit(
     t = 0
     while alive.size and t < max_rounds:
         t += 1
-        u = _stream(seed, "robber", t).random(trials)[alive]
+        u = seed.stream("robber", t).random(trials)[alive]
         ya = y[alive]
         # cop phase
         if fixed:
@@ -228,7 +208,7 @@ def simulate_drunk_pursuit(
             break
         # robber phase
         ya = y[alive]
-        stepped = flat[start_off[ya] + (u[~caught] * deg[ya]).astype(np.int64)]
+        stepped = nbrs[ya, (u[~caught] * deg[ya]).astype(np.int64)]
         if validate_moves:
             _assert_robber_steps(g, ya, stepped)
         y[alive] = stepped
@@ -265,20 +245,15 @@ def simulate_random_cops(
         raise SimulationError("need at least one cop")
     seed = _as_seed(seed)
     if max_rounds is None:
-        max_rounds = _censor_cap(g)
+        max_rounds = _round_cap(g, CENSOR_MULTIPLIER)
     n = g.n
     if n == 1:
         return _report(np.zeros(trials, dtype=np.int64), seed.master)
 
     dmat = np.array(distance_matrix(g), dtype=np.int64)
-    cflat, cstart, cdeg = _closed_csr(g)
-    width = int(cdeg.max())
-    padded = np.full((n, width), -1, dtype=np.int64)
-    for v in range(n):
-        nbp = g.closed_neighbors(v)
-        padded[v, : len(nbp)] = nbp
+    nbrs, deg = _neighbor_table(g, closed=True)
 
-    place = _stream(seed, "placement", 0)
+    place = seed.stream("placement", 0)
     if start is None:
         cops = place.integers(0, n, size=(trials, k))
     else:
@@ -295,13 +270,10 @@ def simulate_random_cops(
         return best
 
     if evader == "uniform-random":
-        y = _stream(seed, "evader", 0).integers(0, n, size=trials)
+        y = seed.stream("evader", 0).integers(0, n, size=trials)
     else:
-        # distance of every vertex to the nearest starting cop, per trial
-        scores = dmat[:, cops[:, 0]]
-        for j in range(1, k):
-            scores = np.minimum(scores, dmat[:, cops[:, j]])
-        y = scores.argmax(axis=0)
+        # the vertex farthest from the nearest starting cop, per trial
+        y = nearest_cop_dist(np.arange(n)[:, None], cops[None]).argmax(axis=0)
 
     T = np.full(trials, -1, dtype=np.int64)
     T[(cops == y[:, None]).any(axis=1)] = 0
@@ -309,8 +281,8 @@ def simulate_random_cops(
     t = 0
     while alive.size and t < max_rounds:
         t += 1
-        ucops = _stream(seed, "cops", t).random((trials, k))[alive]
-        moved = cflat[cstart[cops[alive]] + (ucops * cdeg[cops[alive]]).astype(np.int64)]
+        ucops = seed.stream("cops", t).random((trials, k))[alive]
+        moved = nbrs[cops[alive], (ucops * deg[cops[alive]]).astype(np.int64)]
         cops[alive] = moved
         caught = (moved == y[alive, None]).any(axis=1)
         T[alive[caught]] = t
@@ -319,12 +291,11 @@ def simulate_random_cops(
             break
         ya = y[alive]
         if evader == "uniform-random":
-            u = _stream(seed, "evader", t).random(trials)[alive]
-            stepped = cflat[cstart[ya] + (u * cdeg[ya]).astype(np.int64)]
+            u = seed.stream("evader", t).random(trials)[alive]
+            stepped = nbrs[ya, (u * deg[ya]).astype(np.int64)]
         else:
-            cand = padded[ya]  # (a, width)
+            cand = nbrs[ya]  # (a, width)
             dist = nearest_cop_dist(cand, cops[alive][:, None, :])
-            dist[cand < 0] = -1
             stepped = cand[np.arange(len(ya)), dist.argmax(axis=1)]
         y[alive] = stepped
         caught = (cops[alive] == stepped[:, None]).any(axis=1)
@@ -348,7 +319,7 @@ def walk_deviation_check(n: int, c: float, trials: int, seed: int) -> float:
     block = 0
     while done < trials:
         size = min(chunk, trials - done)
-        g = _stream(seed, "walk", block)
+        g = seed.stream("walk", block)
         steps = g.integers(0, 2, size=(size, n), dtype=np.int8).astype(np.int32)
         steps = steps * 2 - 1
         positions = np.cumsum(steps, axis=1)

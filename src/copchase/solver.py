@@ -8,6 +8,7 @@ canonical sorted k-tuples: cops are interchangeable and may share a vertex.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -15,8 +16,8 @@ from typing import TextIO
 
 import numpy as np
 
-from .chain import as_config, cop_modified_transition
-from .graphs import Graph, validate
+from .chain import as_config, base_transition
+from .graphs import Graph
 
 INFINITE = math.inf
 DEFAULT_STATE_CAP = 5_000_000
@@ -59,9 +60,10 @@ class SolveOptions:
 
 
 class _StateSpace:
-    """Enumerated cop configurations with successor and occupancy tables."""
+    """Enumerated cop configurations with successor and occupancy tables.
+    Rows follow combinations_with_replacement order; see `_config_rank`."""
 
-    def __init__(self, g: Graph, k: int, state_cap: int):
+    def __init__(self, g: Graph, k: int, state_cap: float):
         if k < 1:
             raise ValueError(f"cop count must be >= 1, got {k}")
         n = g.n
@@ -76,39 +78,28 @@ class _StateSpace:
         self.k = k
         self.m = m
         self.configs = list(itertools.combinations_with_replacement(range(n), k))
-        self.index = {cfg: i for i, cfg in enumerate(self.configs)}
-        self.nbp = [np.array(g.closed_neighbors(v), dtype=np.int64) for v in range(n)]
+        # a dict is faster than _config_rank for this many lookups
+        index = {cfg: i for i, cfg in enumerate(self.configs)}
+        closed = [g.closed_neighbors(v) for v in range(n)]
+        self.nbp = [np.array(c, dtype=np.int64) for c in closed]
         # per-config successor configurations (one independent step per cop),
         # kept sorted so first-hit argmin realizes the lexicographic tie-break
         succ = []
         for cfg in self.configs:
-            moves = {
-                tuple(sorted(combo))
-                for combo in itertools.product(*(g.closed_neighbors(v) for v in cfg))
-            }
-            succ.append(np.array(sorted(self.index[t] for t in moves), dtype=np.int64))
-        self.succ = succ
-        s_max = max(len(s) for s in succ)
-        self.succ_padded = np.empty((m, s_max), dtype=np.int64)
+            moves = itertools.product(*(closed[v] for v in cfg))
+            succ.append(sorted({index[tuple(sorted(combo))] for combo in moves}))
+        self.succ_count = np.array([len(s) for s in succ], dtype=np.int64)
+        self.succ_padded = np.empty((m, int(self.succ_count.max())), dtype=np.int64)
         for i, s in enumerate(succ):
             self.succ_padded[i, : len(s)] = s
             self.succ_padded[i, len(s):] = s[0]  # pad duplicates never win a min
         self.occupied = np.zeros((m, n), dtype=bool)
-        for i, cfg in enumerate(self.configs):
-            self.occupied[i, list(cfg)] = True
-        self.occ_cols = [np.array(sorted(set(cfg)), dtype=np.int64) for cfg in self.configs]
-        self._walk = None
+        np.put_along_axis(self.occupied, np.array(self.configs), True, axis=1)
 
-    @property
+    @functools.cached_property
     def walk(self) -> np.ndarray:
         """Cop-free robber walk matrix (n x n, rows uniform over N(v))."""
-        if self._walk is None:
-            P = np.zeros((self.n, self.n))
-            for v in range(self.n):
-                nbrs = self.g.adjacency[v]
-                P[v, list(nbrs)] = 1.0 / len(nbrs)
-            self._walk = P
-        return self._walk
+        return np.ascontiguousarray(base_transition(self.g)[: self.n, : self.n])
 
     def gathered_min(self, table: np.ndarray, out: np.ndarray) -> np.ndarray:
         """out[x] = entrywise min of table over the successors of config x."""
@@ -117,6 +108,17 @@ class _StateSpace:
         for j in range(1, sp.shape[1]):
             np.minimum(out, table[sp[:, j]], out=out)
         return out
+
+
+def _config_rank(n: int, k: int, config) -> int:
+    """Row of `config` in the lexicographic order of the sorted k-tuples of
+    range(n) (Knuth, TAOCP 4A, 7.2.1.3); KeyError if it is not one of them."""
+    cfg = as_config(config)
+    if len(cfg) != k or cfg[0] < 0 or cfg[-1] >= n:
+        raise KeyError(cfg)
+    # c_i + i is a k-subset of range(n + k - 1): count the subsets after it
+    top = n + k - 1
+    return math.comb(top, k) - 1 - sum(math.comb(top - 1 - c - i, k - i) for i, c in enumerate(cfg))
 
 
 class ValueTable:
@@ -132,10 +134,9 @@ class ValueTable:
         self.k = k
         self.configs = configs
         self.values = values
-        self._index = {cfg: i for i, cfg in enumerate(configs)}
 
     def value(self, config, y: int) -> float:
-        return float(self.values[self._index[as_config(config)], y])
+        return float(self.values[_config_rank(self.values.shape[1], self.k, config), y])
 
     def __getitem__(self, key) -> float:
         config, y = key
@@ -162,10 +163,9 @@ class FeedbackPolicy:
         self.k = k
         self.configs = configs
         self.successor_idx = successor_idx
-        self._index = {cfg: i for i, cfg in enumerate(configs)}
 
     def successor(self, config, y: int):
-        idx = self.successor_idx[self._index[as_config(config)], y]
+        idx = self.successor_idx[_config_rank(self.successor_idx.shape[1], self.k, config), y]
         return None if idx < 0 else self.configs[idx]
 
     def undefined_count(self) -> int:
@@ -192,10 +192,9 @@ class RobberPolicy:
         self.k = k
         self.configs = configs
         self.target = target
-        self._index = {cfg: i for i, cfg in enumerate(configs)}
 
     def successor(self, config, y: int) -> int:
-        return int(self.target[self._index[as_config(config)], y])
+        return int(self.target[_config_rank(self.target.shape[1], self.k, config), y])
 
 
 @dataclass(frozen=True)
@@ -215,8 +214,7 @@ class AdversarialSolution:
     sweeps: int
 
     def capture_time(self) -> float:
-        worst = self.cop_values.values.max(axis=1)
-        return float(worst.min())
+        return self.optimal_start()[1]
 
     def optimal_start(self) -> tuple[tuple[int, ...], float]:
         worst = self.cop_values.values.max(axis=1)
@@ -232,7 +230,7 @@ class DrunkSolution:
     scheme: str
 
     def drunk_capture_time(self) -> float:
-        return float(self.values.config_means().min())
+        return self.optimal_start()[1]
 
     def optimal_start(self) -> tuple[tuple[int, ...], float]:
         means = self.values.config_means()
@@ -260,9 +258,7 @@ def solve_adversarial(
     sweeps = 0
     while True:
         sweeps += 1
-        for y in range(n):
-            R[:, y] = C[:, space.nbp[y]].max(axis=1)
-        R[space.occupied] = 0.0
+        _robber_max(space, C, R)
         space.gathered_min(R, C_new)
         C_new += 1.0
         C_new[space.occupied] = 0.0
@@ -271,15 +267,10 @@ def solve_adversarial(
         C, C_new = C_new, C
         if sweeps > m * n + 3:
             raise RuntimeError("adversarial fixpoint failed to stabilize")
-
-    cop_policy = _argmin_policy(space, R)
-    cop_policy[C == np.inf] = -1
-    _hold_on_diagonal(space, cop_policy)
+    del C_new
 
     robber_target = np.empty((m, n), dtype=np.int64)
-    for y in range(n):
-        robber_target[:, y] = space.nbp[y][C[:, space.nbp[y]].argmax(axis=1)]
-        robber_target[space.occupied[:, y], y] = y
+    cop_policy = _adversarial_policy(space, C, R, robber_target)
     configs = space.configs
     return AdversarialSolution(
         cop_values=ValueTable("adversarial", k, configs, C),
@@ -290,18 +281,37 @@ def solve_adversarial(
     )
 
 
-def _argmin_policy(space: _StateSpace, table: np.ndarray) -> np.ndarray:
-    """Per state, the first (lexicographically smallest) successor
-    configuration minimizing `table`."""
-    out = np.empty((space.m, space.n), dtype=np.int64)
-    for i, succ in enumerate(space.succ):
-        out[i] = succ[table[succ].argmin(axis=0)]
+def _robber_max(space: _StateSpace, C: np.ndarray, out: np.ndarray, target=None) -> np.ndarray:
+    """out[x, y] = max of C[x] over N+(y), the robber's best reply, 0 on
+    occupied states; `target` gets the first maximizing vertex (y there)."""
+    for y, nbp in enumerate(space.nbp):
+        block = C[:, nbp]
+        out[:, y] = block.max(axis=1)
+        if target is not None:
+            target[:, y] = nbp[block.argmax(axis=1)]
+    out[space.occupied] = 0.0
+    if target is not None:
+        target[space.occupied] = np.nonzero(space.occupied)[1]
     return out
 
 
-def _hold_on_diagonal(space: _StateSpace, policy_idx: np.ndarray) -> None:
-    for i in range(space.m):
-        policy_idx[i, space.occ_cols[i]] = i
+def _adversarial_policy(space: _StateSpace, C: np.ndarray, R: np.ndarray, target=None):
+    """Cop policy minimizing the robber's best reply to the cop-to-move table
+    C, undefined (-1) on robber-win states. Overwrites R with that reply."""
+    policy = _argmin_policy(space, _robber_max(space, C, R, target))
+    policy[C == np.inf] = -1
+    return policy
+
+
+def _argmin_policy(space: _StateSpace, table: np.ndarray) -> np.ndarray:
+    """Per state, the first (lexicographically smallest) successor
+    configuration minimizing `table`; occupied states hold."""
+    out = np.empty((space.m, space.n), dtype=np.int64)
+    for i, count in enumerate(space.succ_count.tolist()):
+        succ = space.succ_padded[i, :count]
+        out[i] = succ[table[succ].argmin(axis=0)]
+    out[space.occupied] = np.nonzero(space.occupied)[0]
+    return out
 
 
 def capture_time(g: Graph, k: int, state_cap: int = DEFAULT_STATE_CAP) -> float:
@@ -391,19 +401,23 @@ def _drunk_gauss_seidel(space: _StateSpace, opts: SolveOptions):
     P = space.walk
     C = np.zeros((space.m, space.n))
     W = np.zeros_like(C)  # masked smear of the current table, row by row
+    # each row's own successors (padding to the widest row slows cliques) and
+    # occupied columns, built once per solve rather than once per sweep
+    rows = [(space.succ_padded[x, :count], np.flatnonzero(space.occupied[x]))
+            for x, count in enumerate(space.succ_count.tolist())]
     min_increment = math.inf
     for sweep in range(1, opts.max_sweeps + 1):
         delta = 0.0
-        for x in range(space.m):
-            new_row = W[space.succ[x]].min(axis=0)
+        for x, (succ, occ) in enumerate(rows):
+            new_row = W[succ].min(axis=0)
             new_row += 1.0
-            new_row[space.occ_cols[x]] = 0.0
+            new_row[occ] = 0.0
             diff = new_row - C[x]
             delta = max(delta, float(np.abs(diff).max()))
             min_increment = min(min_increment, float(diff.min()))
             C[x] = new_row
             w = P @ new_row
-            w[space.occ_cols[x]] = 0.0
+            w[occ] = 0.0
             W[x] = w
         if delta < opts.tolerance:
             stats = SweepStats(sweep, delta, min_increment, float(C.max()))
@@ -412,11 +426,7 @@ def _drunk_gauss_seidel(space: _StateSpace, opts: SolveOptions):
 
 
 def _drunk_policy(space: _StateSpace, C: np.ndarray) -> np.ndarray:
-    W = np.empty_like(C)
-    _smeared(space, C, W)
-    policy = _argmin_policy(space, W)
-    _hold_on_diagonal(space, policy)
-    return policy
+    return _argmin_policy(space, _smeared(space, C, np.empty_like(C)))
 
 
 def drunk_capture_time(
@@ -442,14 +452,7 @@ def extract_policy(table: ValueTable, g: Graph, state_cap: int = DEFAULT_STATE_C
     if table.kind == "drunk":
         policy = _drunk_policy(space, table.values)
     elif table.kind == "adversarial":
-        C = table.values
-        R = np.empty_like(C)
-        for y in range(space.n):
-            R[:, y] = C[:, space.nbp[y]].max(axis=1)
-        R[space.occupied] = 0.0
-        policy = _argmin_policy(space, R)
-        policy[C == np.inf] = -1
-        _hold_on_diagonal(space, policy)
+        policy = _adversarial_policy(space, table.values, np.empty_like(table.values))
     else:
         raise ValueError(f"cannot extract a cop policy from a {table.kind!r} table")
     return FeedbackPolicy(table.k, space.configs, policy)
@@ -461,35 +464,27 @@ def policy_value(
     tolerance: float = 1e-12,
     max_sweeps: int = 10**6,
 ) -> ValueTable:
-    """Expected capture times induced by a fixed feedback policy, evaluated
-    on the cop-modified robber chains. Intended for modest state spaces."""
-    n = g.n
-    configs = list(policy.configs)
-    m = len(configs)
+    """Expected capture times induced by a fixed feedback policy on the
+    cop-modified robber chains: Jacobi sweeps of V[x, y] = 1 + (smeared
+    V)[policy(x, y), y] from V = 0, zero on occupied states."""
     idx = policy.successor_idx
     if np.any(idx < 0):
         raise ValueError("policy is undefined on some states")
-    used = np.unique(idx)
-    blocks = {
-        int(c): cop_modified_transition(g, configs[int(c)])[:n, :n] for c in used
-    }
-    V = np.zeros((m, n))
-    occupied = np.zeros((m, n), dtype=bool)
-    for i, cfg in enumerate(configs):
-        occupied[i, list(cfg)] = True
-    cols = np.arange(n)
+    space = _StateSpace(g, policy.k, math.inf)
+    if idx.shape != (space.m, space.n):
+        raise ValueError("policy does not match the graph's configuration space")
+    cols = np.arange(space.n)
+    V = np.zeros((space.m, space.n))
+    W = np.empty_like(V)
     for sweep in range(1, max_sweeps + 1):
-        rows = {c: b @ V[c] for c, b in blocks.items()}
-        V_new = np.empty_like(V)
-        for c, row in rows.items():
-            sel = idx == c
-            V_new[sel] = row[np.nonzero(sel)[1]]
+        _smeared(space, V, W)
+        V_new = W[idx, cols]
         V_new += 1.0
-        V_new[occupied] = 0.0
+        V_new[space.occupied] = 0.0
         delta = float(np.abs(V_new - V).max())
         V = V_new
         if delta < tolerance:
-            return ValueTable("drunk", policy.k, configs, V)
+            return ValueTable("drunk", policy.k, space.configs, V)
     raise ConvergenceError(max_sweeps, delta, tolerance)
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import copchase as cc
-from copchase.chain import MASS_TOL, default_round_cap
+from copchase.chain import MASS_TOL, _round_cap, default_round_cap
 
 from conftest import complete_graph, path_sweep, random_connected_graph
 
@@ -271,3 +271,11 @@ def test_strategy_file_round_trip(tmp_path):
 def test_default_round_cap():
     assert default_round_cap(cc.path(200)) == 10**6  # capped
     assert default_round_cap(cc.path(3)) == 10 * 2 * 2**2
+    assert _round_cap(cc.path(3), 100) == 100 * 2 * 2**2
+
+
+def test_round_cap_past_float_range():
+    # 2.0 ** 1029 overflows a float; the cap is exact at any diameter
+    g = cc.path(1030)
+    assert default_round_cap(g) == 10**6
+    assert _round_cap(g, 100) == 10**6

@@ -209,6 +209,29 @@ def test_state_cap_env(capsys, monkeypatch):
     assert code == 2
 
 
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_state_cap_must_be_positive(capsys, monkeypatch, cap):
+    code, _, err = run_cli(capsys, "ct", "--family", "cycle", "--n", "10", "--k", "2",
+                           "--state-cap", cap)
+    assert code == 2 and "positive integer" in err
+    monkeypatch.setenv("COPCHASE_STATE_CAP", cap)
+    code, _, err = run_cli(capsys, "ct", "--family", "cycle", "--n", "10", "--k", "2")
+    assert code == 2 and "positive integer" in err
+    code, _, _ = run_cli(capsys, "sweep", "--family", "path", "--n-list", "3,4")
+    assert code == 2
+
+
+def test_simulate_beyond_float_round_cap(capsys, tmp_path):
+    # diameter 1099: the default censoring cap must not overflow a float power
+    strat = tmp_path / "sweep.txt"
+    strat.write_text("".join(f"{i}\n" for i in range(1100)))
+    code, out, _ = run_cli(capsys, "simulate", "--family", "path", "--n", "1100",
+                           "--mode", "drunk", "--strategy", str(strat), "--trials", "10",
+                           "--json")
+    assert code == 0
+    assert json.loads(out)["censored"] == 0
+
+
 def test_exact_digits(capsys):
     code, out, _ = run_cli(capsys, "dct", "--family", "path", "--n", "3", "--k", "1",
                            "--exact-digits", "12")
