@@ -28,9 +28,9 @@ from .solver import (
     CopNumberError,
     SolveOptions,
     StateSpaceError,
-    cop_number,
     drunkenness_report,
     solve_adversarial,
+    solve_at_cop_number,
     solve_drunk,
 )
 
@@ -107,6 +107,8 @@ def _fmt(value, digits: int) -> str:
 
 def _jsonable(value, digits: int):
     if isinstance(value, float):
+        if math.isnan(value):  # a mean over no captured trials
+            return None
         if math.isinf(value):
             return "inf"
         if value == int(value) and abs(value) < 2**53:
@@ -231,8 +233,10 @@ def _cmd_sweep(args) -> int:
             t0 = time.perf_counter()
             try:
                 g = FamilySpec(family=family, n=n, c=c, d=args.d, depth=args.depth).build()
-                k = args.k if args.k else cop_number(g, args.max_cops, cap)
-                ct = solve_adversarial(g, k, cap).capture_time()
+                adversarial = (solve_adversarial(g, args.k, cap) if args.k
+                               else solve_at_cop_number(g, args.max_cops, cap))
+                k, ct = adversarial.cop_values.k, adversarial.capture_time()
+                del adversarial  # free its tables before the drunk solve
                 drunk = solve_drunk(g, k, opts, cap)
                 dct = drunk.drunk_capture_time()
                 row.update(k=k, ct=_fmt(ct, args.exact_digits),

@@ -304,6 +304,12 @@ def simulate_random_cops(
     return _report(T, seed.master)
 
 
+# Steps drawn per random block (this fixes the stream of each trial) and
+# steps summed per slice of a block.
+_WALK_CHUNK_STEPS = 8_000_000
+_WALK_SLICE_STEPS = 1_000_000
+
+
 def walk_deviation_check(n: int, c: float, trials: int, seed: int) -> float:
     """Fraction of n-step +/-1 walks leaving [-c*sqrt(n ln n), c*sqrt(n ln n)]
     at any time."""
@@ -312,18 +318,25 @@ def walk_deviation_check(n: int, c: float, trials: int, seed: int) -> float:
     if not c > 2:
         raise ValueError(f"the deviation bound needs c > 2, got {c}")
     seed = _as_seed(seed)
-    threshold = c * math.sqrt(n * math.log(n))
-    chunk = max(1, min(trials, 8_000_000 // n))
+    # |position| is an integer, so it exceeds the threshold iff it exceeds
+    # the threshold's floor
+    limit = math.floor(c * math.sqrt(n * math.log(n)))
+    chunk = max(1, min(trials, _WALK_CHUNK_STEPS // n))
+    rows = max(1, _WALK_SLICE_STEPS // n)
     exceeded = 0
     done = 0
     block = 0
     while done < trials:
         size = min(chunk, trials - done)
         g = seed.stream("walk", block)
-        steps = g.integers(0, 2, size=(size, n), dtype=np.int8).astype(np.int32)
-        steps = steps * 2 - 1
-        positions = np.cumsum(steps, axis=1)
-        exceeded += int((np.abs(positions) > threshold).any(axis=1).sum())
+        steps = g.integers(0, 2, size=(size, n), dtype=np.int8)
+        steps *= 2
+        steps -= 1
+        # positions in int32 over slices of rows, not int64 over the chunk
+        for lo in range(0, size, rows):
+            positions = np.cumsum(steps[lo: lo + rows], axis=1, dtype=np.int32)
+            np.abs(positions, out=positions)
+            exceeded += int((positions > limit).any(axis=1).sum())
         done += size
         block += 1
     return exceeded / trials

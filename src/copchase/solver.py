@@ -8,6 +8,7 @@ canonical sorted k-tuples: cops are interchangeable and may share a vertex.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -101,13 +102,31 @@ class _StateSpace:
         """Cop-free robber walk matrix (n x n, rows uniform over N(v))."""
         return np.ascontiguousarray(base_transition(self.g)[: self.n, : self.n])
 
-    def gathered_min(self, table: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """out[x] = entrywise min of table over the successors of config x."""
-        sp = self.succ_padded
-        np.copyto(out, table[sp[:, 0]])
-        for j in range(1, sp.shape[1]):
-            np.minimum(out, table[sp[:, j]], out=out)
-        return out
+    @functools.cached_property
+    def levels(self) -> list[np.ndarray]:
+        """Wavefront levels of the ascending row order: a row's level is one
+        more than the highest level among its lower-numbered successors, or 0
+        if it has none. The successor relation is symmetric (cops step on
+        closed neighbourhoods of an undirected graph), so lower-numbered
+        successors sit on lower levels, higher-numbered ones on higher
+        levels, and rows of one level are never successors of each other."""
+        level = []
+        for x, (succ, count) in enumerate(zip(self.succ_padded.tolist(),
+                                              self.succ_count.tolist())):
+            lower = bisect.bisect_left(succ, x, 0, count)  # rows are sorted
+            level.append(1 + max(level[s] for s in succ[:lower]) if lower else 0)
+        level = np.array(level, dtype=np.int64)
+        order = np.argsort(level, kind="stable")
+        return np.split(order, np.cumsum(np.bincount(level))[:-1])
+
+
+def _gathered_min(succ: np.ndarray, table: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[i] = entrywise min of table over the rows succ[i, :]; with
+    `succ_padded`, over the successors of config i."""
+    np.copyto(out, table[succ[:, 0]])
+    for j in range(1, succ.shape[1]):
+        np.minimum(out, table[succ[:, j]], out=out)
+    return out
 
 
 def _config_rank(n: int, k: int, config) -> int:
@@ -259,7 +278,7 @@ def solve_adversarial(
     while True:
         sweeps += 1
         _robber_max(space, C, R)
-        space.gathered_min(R, C_new)
+        _gathered_min(space.succ_padded, R, C_new)
         C_new += 1.0
         C_new[space.occupied] = 0.0
         if np.array_equal(C_new, C):
@@ -344,7 +363,7 @@ def solve_drunk(
     P(x')[y, y'] * C[x', y'] from C = 0, where P(x') is the robber walk with
     capture mass removed (steps into cops and cop-occupied rows contribute
     zero). Jacobi sweeps read the previous table; Gauss-Seidel updates
-    configuration rows in place in ascending order.
+    configuration rows in place in ascending order, run as wavefront levels.
     """
     if opts is None:
         opts = SolveOptions()
@@ -384,7 +403,7 @@ def _drunk_jacobi(space: _StateSpace, opts: SolveOptions):
     min_increment = math.inf
     for sweep in range(1, opts.max_sweeps + 1):
         _smeared(space, C, W)
-        space.gathered_min(W, C_new)
+        _gathered_min(space.succ_padded, W, C_new)
         C_new += 1.0
         C_new[space.occupied] = 0.0
         diff = C_new - C
@@ -397,28 +416,60 @@ def _drunk_jacobi(space: _StateSpace, opts: SolveOptions):
     raise ConvergenceError(opts.max_sweeps, delta, opts.tolerance)
 
 
+# Levels with fewer rows than this run one row at a time: a block of one or
+# two rows costs more calls than it saves (k=1 barbells and lollipops).
+_BLOCK_MIN_ROWS = 3
+
+
 def _drunk_gauss_seidel(space: _StateSpace, opts: SolveOptions):
+    """Gauss-Seidel sweeps over the wavefront levels of `_StateSpace.levels`,
+    each level updated as one block. A level reads lower levels already
+    updated in this sweep and higher levels not yet updated, just as the
+    ascending row loop does, so the table, sweeps and stats are the same bit
+    for bit. Each row's smear stays one matrix-vector product (a batched
+    product would sum in another order), and a row that did not change keeps
+    the smear it has."""
     P = space.walk
     C = np.zeros((space.m, space.n))
     W = np.zeros_like(C)  # masked smear of the current table, row by row
-    # each row's own successors (padding to the widest row slows cliques) and
-    # occupied columns, built once per solve rather than once per sweep
-    rows = [(space.succ_padded[x, :count], np.flatnonzero(space.occupied[x]))
-            for x, count in enumerate(space.succ_count.tolist())]
+    cops = np.array(space.configs)
+    count = space.succ_count
+    # each row's or level's own successors (padding to the widest row slows
+    # cliques) and cop columns, built once per solve rather than once per sweep
+    steps = []
+    for rows in space.levels:
+        if len(rows) < _BLOCK_MIN_ROWS:
+            steps.extend((x, space.succ_padded[x, :count[x]], cops[x], (x, cops[x]))
+                         for x in rows.tolist())
+        else:
+            cols = cops[rows]
+            steps.append((rows, space.succ_padded[rows, :int(count[rows].max())],
+                          (np.arange(len(rows))[:, None], cols), (rows[:, None], cols)))
+    block = np.empty((max(map(len, space.levels)), space.n))
     min_increment = math.inf
     for sweep in range(1, opts.max_sweeps + 1):
         delta = 0.0
-        for x, (succ, occ) in enumerate(rows):
-            new_row = W[succ].min(axis=0)
-            new_row += 1.0
-            new_row[occ] = 0.0
-            diff = new_row - C[x]
-            delta = max(delta, float(np.abs(diff).max()))
+        for rows, succ, new_occupied, occupied in steps:
+            if succ.ndim == 1:  # rows is one row x of a small level
+                new = W[succ].min(axis=0)
+            else:
+                new = _gathered_min(succ, W, block[: len(rows)])
+            new += 1.0
+            new[new_occupied] = 0.0
+            diff = new - C[rows]
+            change = np.abs(diff).max(axis=-1)
             min_increment = min(min_increment, float(diff.min()))
-            C[x] = new_row
-            w = P @ new_row
-            w[occ] = 0.0
-            W[x] = w
+            C[rows] = new
+            if succ.ndim == 1:
+                delta = max(delta, float(change))
+                if change > 0:
+                    np.matmul(P, new, out=W[rows])
+                    W[occupied] = 0.0
+            else:
+                delta = max(delta, float(change.max()))
+                for x in rows[change > 0].tolist():
+                    np.matmul(P, C[x], out=W[x])
+                W[occupied] = 0.0
         if delta < opts.tolerance:
             stats = SweepStats(sweep, delta, min_increment, float(C.max()))
             return C, stats
@@ -493,9 +544,19 @@ def cop_number(
 ) -> int:
     """Least k with finite adversarial capture time, searched k = 1, 2, ...
     up to `max_cops`."""
+    return solve_at_cop_number(g, max_cops, state_cap).cop_values.k
+
+
+def solve_at_cop_number(
+    g: Graph, max_cops: int = 3, state_cap: int = DEFAULT_STATE_CAP
+) -> AdversarialSolution:
+    """The adversarial solution at the cop number, searched as `cop_number`
+    does."""
     for k in range(1, max_cops + 1):
-        if math.isfinite(capture_time(g, k, state_cap)):
-            return k
+        solution = solve_adversarial(g, k, state_cap)
+        if math.isfinite(solution.capture_time()):
+            return solution
+        del solution  # free the losing tables before the larger solve
     raise CopNumberError(f"no winning configuration with up to {max_cops} cops")
 
 
@@ -519,9 +580,10 @@ def drunkenness_report(
     """Capture time, drunk capture time, and their ratio at the cop number."""
     if g.n == 1:
         raise ValueError("cost of drunkenness is undefined on a single vertex")
-    cops = cop_number(g, max_cops, state_cap)
-    adversarial = solve_adversarial(g, cops, state_cap)
-    ct = adversarial.capture_time()
+    adversarial = solve_at_cop_number(g, max_cops, state_cap)
+    cops = adversarial.cop_values.k
+    adversarial_start, ct = adversarial.optimal_start()
+    del adversarial  # free its tables before the drunk solve
     drunk = solve_drunk(g, cops, opts, state_cap)
     dct = drunk.drunk_capture_time()
     return DrunkennessReport(
@@ -529,7 +591,7 @@ def drunkenness_report(
         capture_time=ct,
         drunk_capture_time=dct,
         ratio=ct / dct,
-        adversarial_start=adversarial.optimal_start()[0],
+        adversarial_start=adversarial_start,
         drunk_start=drunk.optimal_start()[0],
         sweeps=drunk.stats.sweeps,
     )

@@ -159,6 +159,22 @@ def test_simulate_json(capsys, schema):
     assert payload["exceedance"] == 0
 
 
+def test_simulate_json_all_censored(capsys, tmp_path, schema):
+    # two 5-cycles joined by a path: one cop at random never catches the
+    # greedy robber within 50 rounds, so there is no mean to report
+    graph = tmp_path / "two_cycles.txt"
+    edges = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (4, 5), (5, 6), (6, 7),
+             (7, 8), (8, 9), (9, 10), (10, 11), (7, 11)]
+    graph.write_text(f"12 {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    code, out, err = run_cli(capsys, "simulate", "--file", str(graph), "--mode", "random-cops",
+                             "--k", "1", "--evader", "greedy", "--trials", "300",
+                             "--seed", "7", "--max-rounds", "50", "--json")
+    assert code == 0, err
+    payload = check_json(schema, out)
+    assert payload["censored"] == payload["trials"] == 300
+    assert payload["mean"] is None and payload["stderr"] is None
+
+
 def test_simulate_strategy_file(capsys, tmp_path, schema):
     strat = tmp_path / "sweep.txt"
     strat.write_text("0\n1\n2\n3\n4\n")

@@ -1,8 +1,10 @@
 """Differential tests on seeded random small graphs: the solver's policy
-evaluator against the dense cop-modified-chain reference, and configuration
-ranking against enumeration."""
+evaluator against the dense cop-modified-chain reference, wavefront
+Gauss-Seidel against the row-by-row loop, and configuration ranking against
+enumeration."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -10,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import copchase as cc
-from copchase.solver import SolveOptions, _config_rank
+from copchase import solver
+from copchase.solver import SolveOptions, SweepStats, _config_rank, _StateSpace
 
 from conftest import random_connected_graph
 
@@ -24,6 +27,95 @@ instances = st.builds(
     st.integers(1, 3),
     st.sampled_from([0.1, 0.3, 0.6]),
 )
+
+
+gs_instances = st.builds(
+    lambda seed, n, k, p: (random_connected_graph(seed, n, p), k),
+    st.integers(0, 2**31 - 1),
+    st.integers(3, 8),
+    st.integers(1, 3),
+    st.sampled_from([0.1, 0.3, 0.6]),
+)
+
+NAMED = {
+    "cycle12": (cc.cycle(12), 2),
+    "grid4": (cc.grid(4), 2),
+    "barbell10": (cc.barbell(10, 1.0), 1),
+    "lollipop20": (cc.lollipop(20, 0.41), 1),
+    "tree2x3": (cc.complete_tree(2, 3), 1),
+}
+
+
+def row_by_row_gauss_seidel(space, opts):
+    """Reference Gauss-Seidel: one configuration row at a time, in ascending
+    order, each row reading the rows before it as updated in this sweep."""
+    P = space.walk
+    C = np.zeros((space.m, space.n))
+    W = np.zeros_like(C)  # masked smear of the current table, row by row
+    rows = [(space.succ_padded[x, :count], np.flatnonzero(space.occupied[x]))
+            for x, count in enumerate(space.succ_count.tolist())]
+    min_increment = math.inf
+    for sweep in range(1, opts.max_sweeps + 1):
+        delta = 0.0
+        for x, (succ, occ) in enumerate(rows):
+            new_row = W[succ].min(axis=0)
+            new_row += 1.0
+            new_row[occ] = 0.0
+            diff = new_row - C[x]
+            delta = max(delta, float(np.abs(diff).max()))
+            min_increment = min(min_increment, float(diff.min()))
+            C[x] = new_row
+            w = P @ new_row
+            w[occ] = 0.0
+            W[x] = w
+        if delta < opts.tolerance:
+            return C, SweepStats(sweep, delta, min_increment, float(C.max()))
+    raise AssertionError("reference Gauss-Seidel did not converge")
+
+
+def assert_gauss_seidel_matches_rows(g, k, opts=SolveOptions()):
+    sol = cc.solve_drunk(g, k, opts)
+    space = _StateSpace(g, k, math.inf)
+    C, stats = row_by_row_gauss_seidel(space, opts)
+    assert np.array_equal(sol.values.values, C)
+    assert np.array_equal(sol.policy.successor_idx, solver._drunk_policy(space, C))
+    assert sol.stats == stats
+
+
+@SETTINGS
+@given(gs_instances)
+def test_gauss_seidel_matches_row_loop(instance):
+    g, k = instance
+    assert_gauss_seidel_matches_rows(g, k)
+    assert_gauss_seidel_matches_rows(g, k, SolveOptions(tolerance=1e-300))
+
+
+@pytest.mark.parametrize("name", sorted(NAMED))
+@pytest.mark.parametrize("block_min_rows", [1, 3, 10**9])
+def test_gauss_seidel_matches_row_loop_named(name, block_min_rows, monkeypatch):
+    # 1 runs every level as a block, 10**9 runs every row alone
+    monkeypatch.setattr(solver, "_BLOCK_MIN_ROWS", block_min_rows)
+    assert_gauss_seidel_matches_rows(*NAMED[name])
+
+
+@pytest.mark.parametrize("name", sorted(NAMED))
+def test_wavefront_levels(name):
+    g, k = NAMED[name]
+    space = _StateSpace(g, k, math.inf)
+    levels = space.levels
+    assert np.array_equal(np.sort(np.concatenate(levels)), np.arange(space.m))
+    level = np.empty(space.m, dtype=np.int64)
+    for i, rows in enumerate(levels):
+        assert len(rows) > 0 and np.all(np.diff(rows) > 0)
+        level[rows] = i
+    for x, count in enumerate(space.succ_count.tolist()):
+        succ = space.succ_padded[x, :count]
+        assert np.all(level[succ[succ < x]] < level[x])
+        assert np.all(level[succ[succ != x]] != level[x])  # a level never reads itself
+        if np.any(succ < x):
+            assert level[x] == 1 + level[succ[succ < x]].max()
+        else:
+            assert level[x] == 0
 
 
 def dense_policy_value(g, policy, tolerance=1e-12, max_sweeps=10**6):

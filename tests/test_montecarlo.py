@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import copchase as cc
+from copchase import montecarlo
 
 from conftest import complete_graph, path_sweep, random_connected_graph
 
@@ -242,6 +243,43 @@ def test_walk_deviation_deterministic():
     a = cc.walk_deviation_check(500, 2.1, 5000, seed=6)
     b = cc.walk_deviation_check(500, 2.1, 5000, seed=6)
     assert a == b
+
+
+def reference_walk_deviation_check(n, c, trials, seed, chunk_steps=8_000_000):
+    """The walk check as first written: int32 steps and int64 positions over
+    whole blocks, compared with the float threshold."""
+    seed = cc.SeedSpec(seed)
+    threshold = c * math.sqrt(n * math.log(n))
+    chunk = max(1, min(trials, chunk_steps // n))
+    exceeded = done = block = 0
+    while done < trials:
+        size = min(chunk, trials - done)
+        g = seed.stream("walk", block)
+        steps = g.integers(0, 2, size=(size, n), dtype=np.int8).astype(np.int32)
+        positions = np.cumsum(steps * 2 - 1, axis=1)
+        exceeded += int((np.abs(positions) > threshold).any(axis=1).sum())
+        done += size
+        block += 1
+    return exceeded / trials
+
+
+@pytest.mark.parametrize("n,trials", [(10, 20000), (37, 20000), (1000, 1500)])
+def test_walk_deviation_matches_reference(n, trials):
+    for c in [2.05, 2.5, 3]:
+        assert (cc.walk_deviation_check(n, c, trials, seed=4)
+                == reference_walk_deviation_check(n, c, trials, seed=4))
+    if n <= 37:  # the threshold is reached: the comparison is not of zeros
+        assert cc.walk_deviation_check(n, 2.05, trials, seed=4) > 0
+
+
+def test_walk_deviation_blocks_and_slices_match_reference(monkeypatch):
+    # small blocks and slices: several of each per call, with ragged ends
+    monkeypatch.setattr(montecarlo, "_WALK_CHUNK_STEPS", 3000)
+    monkeypatch.setattr(montecarlo, "_WALK_SLICE_STEPS", 700)
+    for n in [10, 37, 1000]:
+        for c in [2.05, 2.5, 3]:
+            assert (cc.walk_deviation_check(n, c, 1234, seed=9)
+                    == reference_walk_deviation_check(n, c, 1234, seed=9, chunk_steps=3000))
 
 
 def test_single_vertex_simulations():
