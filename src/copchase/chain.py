@@ -10,7 +10,7 @@ from typing import Iterable, TextIO
 
 import numpy as np
 
-from .graphs import Graph, validate
+from .graphs import Graph, _bfs_distances, validate
 
 MASS_TOL = 1e-12
 MAX_ROUND_CAP = 10**6
@@ -67,10 +67,9 @@ def base_transition(g: Graph) -> np.ndarray:
     n = g.n
     if n < 2:
         raise ValueError("base_transition requires n >= 2: the robber must move")
+    table, deg = g._neighbor_table(closed=False)
     mat = np.zeros((n + 1, n + 1))
-    for v in range(n):
-        nbrs = g.adjacency[v]
-        mat[v, list(nbrs)] = 1.0 / len(nbrs)
+    mat[np.arange(n)[:, None], table] = (1.0 / deg)[:, None]  # pads repeat an entry
     mat[n, n] = 1.0
     return mat
 
@@ -208,11 +207,14 @@ def default_round_cap(g: Graph) -> int:
 
 
 def _round_cap(g: Graph, multiplier: int) -> int:
-    """multiplier * D * max_degree**D, capped at MAX_ROUND_CAP, in exact integers."""
-    diag = validate(g)
-    if diag.diameter == 0:
-        return 1
-    return min(multiplier * diag.diameter * diag.max_degree**diag.diameter, MAX_ROUND_CAP)
+    """multiplier * D * max_degree**D, capped at MAX_ROUND_CAP, in exact integers.
+    The formula grows with D, so when the eccentricity of vertex 0 (at most D)
+    already saturates the cap, one BFS decides it without the diameter."""
+    max_degree = max(map(len, g.adjacency))
+    d = max(_bfs_distances(g, 0))
+    if multiplier * d * max_degree**d < MAX_ROUND_CAP:
+        d = validate(g).diameter
+    return min(multiplier * d * max_degree**d, MAX_ROUND_CAP) if d else 1
 
 
 @dataclass
@@ -261,26 +263,33 @@ def fixed_strategy_capture_distribution(
     if max_rounds is None:
         max_rounds = default_round_cap(g)
     n = g.n
-    pi = uniform_placement(n) @ placement_matrix(g, strategy.configs[0])
-    masses = [float(pi[n])]
-    captured = float(pi[n])
-    held_matrix: np.ndarray | None = None
+    table, deg = g._neighbor_table(closed=False)
+    # probability of each table entry, 0 on the pads
+    step = (np.arange(table.shape[1]) < deg[:, None]) * (1.0 / deg)[:, None]
+    pi = np.full(n, 1.0 / n)  # uncaptured robber mass on each vertex
+    masses = [_capture(pi, strategy.configs[0])]
+    captured = masses[0]
     t = 0
     while 1.0 - captured > MASS_TOL and t < max_rounds:
         t += 1
-        if t < len(strategy.configs):
-            matrix = cop_modified_transition(g, strategy.configs[t])
-        else:
-            if held_matrix is None:
-                held_matrix = cop_modified_transition(g, strategy.configs[-1])
-            matrix = held_matrix
-        pi = pi @ matrix
-        masses.append(float(pi[n]) - captured)
-        captured = float(pi[n])
+        cops = strategy.config_at(t)
+        mass = _capture(pi, cops)  # the cops step onto the robber
+        pi = np.bincount(table.ravel(), (pi[:, None] * step).ravel(), n)
+        mass += _capture(pi, cops)  # the robber steps onto a cop
+        masses.append(mass)
+        captured += mass
     residual = max(0.0, 1.0 - captured)
     return CaptureDistribution(
         masses=masses, residual=residual, terminated=residual <= MASS_TOL
     )
+
+
+def _capture(pi: np.ndarray, config: tuple[int, ...]) -> float:
+    """Remove and return the robber mass on the cop vertices of `config`."""
+    cops = sorted(set(config))
+    mass = float(pi[cops].sum())
+    pi[cops] = 0.0
+    return mass
 
 
 def fixed_strategy_expected_time(

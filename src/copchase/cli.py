@@ -107,8 +107,6 @@ def _fmt(value, digits: int) -> str:
 
 def _jsonable(value, digits: int):
     if isinstance(value, float):
-        if math.isnan(value):  # a mean over no captured trials
-            return None
         if math.isinf(value):
             return "inf"
         if value == int(value) and abs(value) < 2**53:

@@ -7,6 +7,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence, TextIO
 
+import numpy as np
+
 MAX_GENERATED_VERTICES = 10_000_000
 
 
@@ -22,7 +24,7 @@ class Graph:
     range, and connectivity.
     """
 
-    __slots__ = ("n", "adjacency", "_edge_count")
+    __slots__ = ("n", "adjacency", "_edge_count", "_tables")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if not isinstance(n, int) or n < 1:
@@ -44,25 +46,23 @@ class Graph:
             self, "adjacency", tuple(tuple(sorted(s)) for s in neighbor_sets)
         )
         object.__setattr__(self, "_edge_count", m)
-        if not self._is_connected():
+        object.__setattr__(self, "_tables", None)
+        if min(_bfs_distances(self, 0)) < 0:
             raise GraphError("graph is not connected")
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
-    def _is_connected(self) -> bool:
-        seen = bytearray(self.n)
-        seen[0] = 1
-        queue = deque([0])
-        count = 1
-        while queue:
-            u = queue.popleft()
-            for v in self.adjacency[u]:
-                if not seen[v]:
-                    seen[v] = 1
-                    count += 1
-                    queue.append(v)
-        return count == self.n
+    def _neighbor_table(self, closed: bool) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted open or closed neighbourhoods as an (n, widest row) int64
+        table, and the row sizes; built once per graph, shared by every layer
+        that steps the robber or the cops. Short rows repeat their first
+        entry: table[v, floor(u * size[v])] is uniform for u in [0, 1), and a
+        first-hit argmax or argmin never picks a pad."""
+        if self._tables is None:
+            closed_rows = [self.closed_neighbors(v) for v in range(self.n)]
+            object.__setattr__(self, "_tables", (_padded(self.adjacency), _padded(closed_rows)))
+        return self._tables[1 if closed else 0]
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Open neighborhood N(v)."""
@@ -111,6 +111,16 @@ def validate(g: Graph) -> GraphDiagnostics:
         diameter = max(diameter, max(dist))
     max_degree = max((g.degree(v) for v in range(g.n)), default=0)
     return GraphDiagnostics(connected=True, diameter=diameter, max_degree=max_degree)
+
+
+def _padded(rows: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Rows as one int64 table, short rows padded with their first entry, and their sizes."""
+    size = np.array([len(row) for row in rows], dtype=np.int64)
+    table = np.empty((len(rows), int(size.max())), dtype=np.int64)
+    for v, row in enumerate(rows):
+        table[v, : len(row)] = row
+        table[v, len(row):] = row[:1]  # on a single vertex, row and pad are empty
+    return table, size
 
 
 def _bfs_distances(g: Graph, source: int) -> list[int]:

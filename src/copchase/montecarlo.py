@@ -16,7 +16,7 @@ import numpy as np
 
 from .chain import FixedStrategy, _cops_can_move, _round_cap, validate_strategy
 from .graphs import Graph, distance_matrix
-from .solver import FeedbackPolicy, _config_rank
+from .solver import FeedbackPolicy, _config_rank, _occupancy
 
 RNG_NAME = "philox4x64"
 _TAGS = {"placement": 0, "robber": 1, "cops": 2, "walk": 3, "evader": 4}
@@ -63,10 +63,12 @@ class SimReport:
     rng: str = RNG_NAME
 
     def to_dict(self) -> dict:
+        """The report as JSON types; `mean` and `stderr` are None when every
+        trial was censored."""
         return {
             "trials": self.trials,
-            "mean": self.mean,
-            "stderr": self.stderr,
+            "mean": None if math.isnan(self.mean) else self.mean,
+            "stderr": None if math.isnan(self.stderr) else self.stderr,
             "max": self.max_observed,
             "censored": self.censored,
             "histogram": self.histogram,
@@ -75,20 +77,7 @@ class SimReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-
-def _neighbor_table(g: Graph, closed: bool):
-    """Sorted open or closed neighbourhoods as an (n, max degree) table, and
-    their sizes. Short rows repeat their first entry: table[v, floor(u *
-    deg[v])] is uniform for u in [0, 1), and a first-hit argmax skips pads."""
-    rows = [g.closed_neighbors(v) if closed else g.adjacency[v] for v in range(g.n)]
-    deg = np.array([len(row) for row in rows], dtype=np.int64)
-    table = np.empty((g.n, int(deg.max())), dtype=np.int64)
-    for v, row in enumerate(rows):
-        table[v, : len(row)] = row
-        table[v, len(row):] = row[0]
-    return table, deg
+        return json.dumps(self.to_dict(), allow_nan=False)
 
 
 def _report(T: np.ndarray, seed: int) -> SimReport:
@@ -149,33 +138,28 @@ def simulate_drunk_pursuit(
         max_rounds = _round_cap(g, CENSOR_MULTIPLIER)
     n = g.n
     if n == 1:
-        T = np.zeros(trials, dtype=np.int64)
-        return _report(T, seed.master)
+        return _report(np.zeros(trials, dtype=np.int64), seed.master)
 
     fixed = isinstance(policy, FixedStrategy)
     if fixed:
         validate_strategy(g, policy)
-        occ_rounds = None
     else:
         if start is None:
             raise SimulationError("feedback policies need an initial configuration")
         succ_idx = policy.successor_idx
-        occupied = np.zeros((len(policy.configs), n), dtype=bool)
-        np.put_along_axis(occupied, np.array(policy.configs), True, axis=1)
+        occupied = _occupancy(policy.configs, n)
         try:
             start_idx = _config_rank(n, policy.k, start)
         except (KeyError, ValueError) as exc:
             raise SimulationError(f"unknown start configuration {start!r}") from exc
 
-    nbrs, deg = _neighbor_table(g, closed=False)
+    nbrs, deg = g._neighbor_table(closed=False)
 
     y = seed.stream("placement", 0).integers(0, n, size=trials)
     T = np.full(trials, -1, dtype=np.int64)
 
     if fixed:
-        occ0 = np.zeros(n, dtype=bool)
-        occ0[list(policy.configs[0])] = True
-        T[occ0[y]] = 0
+        T[_occupancy(policy.configs[:1], n)[0, y]] = 0
     else:
         cfg = np.full(trials, start_idx, dtype=np.int64)
         T[occupied[start_idx, y]] = 0
@@ -188,9 +172,7 @@ def simulate_drunk_pursuit(
         ya = y[alive]
         # cop phase
         if fixed:
-            cops_now = policy.config_at(t)
-            occ_t = np.zeros(n, dtype=bool)
-            occ_t[list(cops_now)] = True
+            occ_t = _occupancy([policy.config_at(t)], n)[0]
             caught = occ_t[ya]
         else:
             nxt = succ_idx[cfg[alive], ya]
@@ -251,7 +233,7 @@ def simulate_random_cops(
         return _report(np.zeros(trials, dtype=np.int64), seed.master)
 
     dmat = np.array(distance_matrix(g), dtype=np.int64)
-    nbrs, deg = _neighbor_table(g, closed=True)
+    nbrs, deg = g._neighbor_table(closed=True)
 
     place = seed.stream("placement", 0)
     if start is None:

@@ -18,7 +18,7 @@ from typing import TextIO
 import numpy as np
 
 from .chain import as_config, base_transition
-from .graphs import Graph
+from .graphs import Graph, _padded
 
 INFINITE = math.inf
 DEFAULT_STATE_CAP = 5_000_000
@@ -82,20 +82,14 @@ class _StateSpace:
         # a dict is faster than _config_rank for this many lookups
         index = {cfg: i for i, cfg in enumerate(self.configs)}
         closed = [g.closed_neighbors(v) for v in range(n)]
-        self.nbp = [np.array(c, dtype=np.int64) for c in closed]
         # per-config successor configurations (one independent step per cop),
         # kept sorted so first-hit argmin realizes the lexicographic tie-break
         succ = []
         for cfg in self.configs:
             moves = itertools.product(*(closed[v] for v in cfg))
             succ.append(sorted({index[tuple(sorted(combo))] for combo in moves}))
-        self.succ_count = np.array([len(s) for s in succ], dtype=np.int64)
-        self.succ_padded = np.empty((m, int(self.succ_count.max())), dtype=np.int64)
-        for i, s in enumerate(succ):
-            self.succ_padded[i, : len(s)] = s
-            self.succ_padded[i, len(s):] = s[0]  # pad duplicates never win a min
-        self.occupied = np.zeros((m, n), dtype=bool)
-        np.put_along_axis(self.occupied, np.array(self.configs), True, axis=1)
+        self.succ_padded, self.succ_count = _padded(succ)  # pads never win a min
+        self.occupied = _occupancy(self.configs, n)
 
     @functools.cached_property
     def walk(self) -> np.ndarray:
@@ -118,6 +112,13 @@ class _StateSpace:
         level = np.array(level, dtype=np.int64)
         order = np.argsort(level, kind="stable")
         return np.split(order, np.cumsum(np.bincount(level))[:-1])
+
+
+def _occupancy(configs, n: int) -> np.ndarray:
+    """(len(configs), n) mask of the vertices each configuration occupies."""
+    occupied = np.zeros((len(configs), n), dtype=bool)
+    np.put_along_axis(occupied, np.array(configs), True, axis=1)
+    return occupied
 
 
 def _gathered_min(succ: np.ndarray, table: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -303,7 +304,11 @@ def solve_adversarial(
 def _robber_max(space: _StateSpace, C: np.ndarray, out: np.ndarray, target=None) -> np.ndarray:
     """out[x, y] = max of C[x] over N+(y), the robber's best reply, 0 on
     occupied states; `target` gets the first maximizing vertex (y there)."""
-    for y, nbp in enumerate(space.nbp):
+    table, size = space.g._neighbor_table(closed=True)
+    # each row sliced to its own size: padding every row to the widest slows
+    # graphs with a few high-degree vertices
+    for y, count in enumerate(size.tolist()):
+        nbp = table[y, :count]
         block = C[:, nbp]
         out[:, y] = block.max(axis=1)
         if target is not None:

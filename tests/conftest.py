@@ -1,5 +1,7 @@
-"""Shared test helpers: deterministic graph factories and sweep strategies."""
+"""Shared test helpers: deterministic graph factories, sweep strategies and
+the game-tree minimax oracle."""
 
+import math
 import random
 
 import copchase as cc
@@ -34,3 +36,29 @@ def cycle_opposite_sweep(n: int) -> cc.FixedStrategy:
     return cc.FixedStrategy(
         [tuple(sorted((t % n, (n - 1 - t) % n))) for t in range(rounds)]
     )
+
+
+def minimax_capture_value(g, x, y, horizon, memo):
+    """Plain game-tree recursion: cop to move, value = rounds to capture under
+    optimal play, math.inf if capture cannot be forced within the horizon."""
+    if x == y:
+        return 0.0
+    if horizon == 0:
+        return math.inf
+    key = (x, y, horizon)
+    if key in memo:
+        return memo[key]
+    best = math.inf
+    for x2 in g.closed_neighbors(x):
+        if x2 == y:
+            val = 1.0
+        else:
+            worst = 0.0
+            for y2 in g.closed_neighbors(y):
+                if y2 == x2:
+                    continue  # stepping onto the cop ends the game at once
+                worst = max(worst, minimax_capture_value(g, x2, y2, horizon - 1, memo))
+            val = 1.0 + worst
+        best = min(best, val)
+    memo[key] = best
+    return best

@@ -12,6 +12,7 @@ import copchase as cc
 from conftest import (
     complete_graph,
     cycle_opposite_sweep,
+    minimax_capture_value,
     path_sweep,
     random_connected_graph,
 )
@@ -188,30 +189,6 @@ def test_criterion_4_cost_of_drunkenness(cache):
             f"grid dct/n={[round(f, 4) for f in fractions]}")
 
 
-def _minimax_value(g, x, y, horizon, memo):
-    if x == y:
-        return 0.0
-    if horizon == 0:
-        return math.inf
-    key = (x, y, horizon)
-    if key in memo:
-        return memo[key]
-    best = math.inf
-    for x2 in g.closed_neighbors(x):
-        if x2 == y:
-            val = 1.0
-        else:
-            worst = 0.0
-            for y2 in g.closed_neighbors(y):
-                if y2 == x2:
-                    continue
-                worst = max(worst, _minimax_value(g, x2, y2, horizon - 1, memo))
-            val = 1.0 + worst
-        best = min(best, val)
-    memo[key] = best
-    return best
-
-
 def test_criterion_5_oracle_equivalence(cache):
     failures = []
     for tag, _, _ in RANDOM_GRAPHS:
@@ -240,7 +217,7 @@ def test_criterion_5_oracle_equivalence(cache):
         memo = {}
         for x in range(g.n):
             for y in range(g.n):
-                expected = _minimax_value(g, x, y, horizon, memo)
+                expected = minimax_capture_value(g, x, y, horizon, memo)
                 if table.value((x,), y) != expected:
                     failures.append(
                         f"minimax mismatch n={g.n} ({x},{y}): "

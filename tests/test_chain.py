@@ -274,6 +274,29 @@ def test_default_round_cap():
     assert _round_cap(cc.path(3), 100) == 100 * 2 * 2**2
 
 
+def full_diameter_round_cap(g, multiplier):
+    diag = cc.validate(g)
+    if diag.diameter == 0:
+        return 1
+    return min(multiplier * diag.diameter * diag.max_degree**diag.diameter, 10**6)
+
+
+@pytest.mark.parametrize("multiplier", [1, 10, 100])
+def test_round_cap_matches_full_diameter_formula(multiplier):
+    graphs = [cc.path(1), cc.path(2), cc.path(3), complete_graph(4), cc.path(1030),
+              cc.cycle(9), cc.lollipop(12, 0.5)]
+    graphs += [random_connected_graph(seed, 2 + seed % 14, 0.02 * (seed % 9))
+               for seed in range(150)]
+    below = 0
+    for g in graphs:
+        cap = _round_cap(g, multiplier)
+        assert cap == full_diameter_round_cap(g, multiplier), g
+        below += cap < 10**6
+    assert below >= 10  # the all-pairs fallback ran, not only the one-BFS exit
+    assert _round_cap(cc.path(2), multiplier) == multiplier
+    assert _round_cap(complete_graph(4), multiplier) == multiplier * 3
+
+
 def test_round_cap_past_float_range():
     # 2.0 ** 1029 overflows a float; the cap is exact at any diameter
     g = cc.path(1030)

@@ -1,7 +1,7 @@
 """Differential tests on seeded random small graphs: the solver's policy
-evaluator against the dense cop-modified-chain reference, wavefront
-Gauss-Seidel against the row-by-row loop, and configuration ranking against
-enumeration."""
+evaluator and the fixed-strategy capture distribution against the dense
+cop-modified-chain reference, wavefront Gauss-Seidel against the row-by-row
+loop, and configuration ranking against enumeration."""
 
 import itertools
 import math
@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import copchase as cc
 from copchase import solver
+from copchase.chain import MASS_TOL
 from copchase.solver import SolveOptions, SweepStats, _config_rank, _StateSpace
 
 from conftest import random_connected_graph
@@ -170,6 +171,65 @@ def test_policy_value_of_jacobi_policy_is_the_jacobi_table(instance):
     assert sol.stats.final_delta == 0.0
     assert np.array_equal(cc.policy_value(g, sol.policy, tolerance=exact).values,
                           sol.values.values)
+
+
+def loop_base_transition(g):
+    """Reference walk matrix: one row of the augmented matrix at a time."""
+    n = g.n
+    mat = np.zeros((n + 1, n + 1))
+    for v in range(n):
+        nbrs = g.adjacency[v]
+        mat[v, list(nbrs)] = 1.0 / len(nbrs)
+    mat[n, n] = 1.0
+    return mat
+
+
+def dense_capture_distribution(g, strategy, max_rounds):
+    """Reference capture distribution: the placement matrix, then one dense
+    cop-modified transition matrix per round."""
+    n = g.n
+    pi = cc.uniform_placement(n) @ cc.placement_matrix(g, strategy.configs[0])
+    masses = [float(pi[n])]
+    captured = float(pi[n])
+    t = 0
+    while 1.0 - captured > MASS_TOL and t < max_rounds:
+        t += 1
+        pi = pi @ cc.cop_modified_transition(g, strategy.config_at(t))
+        masses.append(float(pi[n]) - captured)
+        captured = float(pi[n])
+    return masses, max(0.0, 1.0 - captured) <= MASS_TOL
+
+
+@st.composite
+def strategy_instances(draw):
+    """A graph, a legal strategy of k cops (each cop steps within its closed
+    neighbourhood) and a round budget; cops may share a vertex."""
+    n = draw(st.integers(2, 8))
+    g = random_connected_graph(draw(st.integers(0, 2**31 - 1)), n,
+                               draw(st.sampled_from([0.1, 0.3, 0.6])))
+    k = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        cops = [draw(st.integers(0, n - 1))] * k  # stacked from the start
+    else:
+        cops = draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k))
+    configs = [tuple(cops)]
+    for _ in range(draw(st.integers(0, 6))):  # the last configuration is held
+        cops = [draw(st.sampled_from(g.closed_neighbors(v))) for v in cops]
+        configs.append(tuple(cops))
+    max_rounds = draw(st.sampled_from([1, 3, 10, 10**6]))  # the small ones cut
+    return g, cc.FixedStrategy(configs), max_rounds
+
+
+@SETTINGS
+@given(strategy_instances())
+def test_capture_distribution_matches_dense_chain(instance):
+    g, strategy, max_rounds = instance
+    dist = cc.fixed_strategy_capture_distribution(g, strategy, max_rounds)
+    masses, terminated = dense_capture_distribution(g, strategy, max_rounds)
+    assert dist.rounds == len(masses) - 1
+    assert dist.terminated == terminated
+    assert np.abs(np.array(dist.masses) - masses).max() <= 1e-15
+    assert np.array_equal(cc.base_transition(g), loop_base_transition(g))
 
 
 def test_config_rank_is_enumeration_index():

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -227,6 +228,51 @@ def test_report_serialization():
     }
     assert payload["rng"] == "philox4x64"
     assert sum(payload["histogram"]) + payload["censored"] == payload["trials"]
+
+
+# Exact reports of seeded runs: a change to the order or padding of a
+# neighbour-table row changes which vertex a draw picks, and so these strings.
+PINNED_REPORTS = {
+    "drunk-feedback": '{"trials": 400, "mean": 1.1675, "stderr": 0.04049950493215162, "max": 5, '
+    '"censored": 0, "histogram": [50, 273, 47, 23, 4, 3], "seed": 11, "rng": "philox4x64"}',
+    "drunk-fixed": '{"trials": 400, "mean": 3.595567867036011, "stderr": 0.2215142928513219, '
+    '"max": 20, "censored": 39, "histogram": [51, 112, 58, 14, 36, 10, 10, 13, 7, 10, 7, 6, '
+    '2, 8, 2, 6, 3, 4, 0, 1, 1], "seed": 12, "rng": "philox4x64"}',
+    "random-cops-greedy": '{"trials": 400, "mean": 11.568627450980392, '
+    '"stderr": 1.0800344591310125, "max": 27, "censored": 349, "histogram": [0, 0, 4, 4, 2, '
+    '4, 2, 3, 2, 2, 3, 5, 2, 1, 1, 5, 0, 1, 0, 0, 0, 1, 0, 2, 1, 2, 2, 2], "seed": 13, '
+    '"rng": "philox4x64"}',
+    "random-cops-uniform": '{"trials": 400, "mean": 2.625, "stderr": 0.13613327356097063, '
+    '"max": 19, "censored": 0, "histogram": [73, 97, 81, 40, 36, 25, 17, 7, 6, 5, 3, 3, 2, 4, '
+    '0, 0, 0, 0, 0, 1], "seed": 14, "rng": "philox4x64"}',
+}
+
+
+def test_reports_are_pinned():
+    g = random_connected_graph(77, 9, 0.3)  # degrees 2 to 6, so rows have pads
+    solution = cc.solve_drunk(g, 1)
+    strategy = cc.FixedStrategy([(0,), (1,), (2,), (7,), (8,)])
+    reports = {
+        "drunk-feedback": cc.simulate_drunk_pursuit(
+            g, solution.policy, 400, seed=11, start=solution.optimal_start()[0]),
+        "drunk-fixed": cc.simulate_drunk_pursuit(g, strategy, 400, seed=12, max_rounds=20),
+        "random-cops-greedy": cc.simulate_random_cops(
+            g, 1, "max-distance-greedy", 400, seed=13, max_rounds=30),
+        "random-cops-uniform": cc.simulate_random_cops(g, 2, "uniform-random", 400, seed=14),
+    }
+    for name, report in reports.items():
+        assert report.to_json() == PINNED_REPORTS[name], name
+
+
+def test_all_censored_report_is_valid_json():
+    # two 5-cycles joined by a path: one random cop never catches the greedy
+    # robber within 50 rounds, so there is no mean
+    g = cc.Graph(12, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (4, 5), (5, 6), (6, 7),
+                      (7, 8), (8, 9), (9, 10), (10, 11), (7, 11)])
+    report = cc.simulate_random_cops(g, 1, "max-distance-greedy", 50, seed=7, max_rounds=50)
+    assert report.censored == 50 and math.isnan(report.mean)
+    payload = json.loads(report.to_json())
+    assert payload["mean"] is None and payload["stderr"] is None
 
 
 def test_walk_deviation_trivial_cases():

@@ -8,38 +8,12 @@ import pytest
 import copchase as cc
 from copchase.solver import _StateSpace
 
-from conftest import complete_graph, random_connected_graph
+from conftest import complete_graph, minimax_capture_value, random_connected_graph
 
 
 # ---------------------------------------------------------------------------
 # independent oracle: exhaustive bounded-horizon minimax for one cop
 # ---------------------------------------------------------------------------
-
-
-def minimax_capture_value(g, x, y, horizon, memo):
-    """Plain game-tree recursion: cop to move, value = rounds to capture under
-    optimal play, math.inf if capture cannot be forced within the horizon."""
-    if x == y:
-        return 0.0
-    if horizon == 0:
-        return math.inf
-    key = (x, y, horizon)
-    if key in memo:
-        return memo[key]
-    best = math.inf
-    for x2 in g.closed_neighbors(x):
-        if x2 == y:
-            val = 1.0
-        else:
-            worst = 0.0
-            for y2 in g.closed_neighbors(y):
-                if y2 == x2:
-                    continue  # stepping onto the cop ends the game at once
-                worst = max(worst, minimax_capture_value(g, x2, y2, horizon - 1, memo))
-            val = 1.0 + worst
-        best = min(best, val)
-    memo[key] = best
-    return best
 
 
 def assert_matches_minimax(g):
