@@ -232,7 +232,6 @@ def simulate_random_cops(
     if n == 1:
         return _report(np.zeros(trials, dtype=np.int64), seed.master)
 
-    dmat = np.array(distance_matrix(g), dtype=np.int64)
     nbrs, deg = g._neighbor_table(closed=True)
 
     place = seed.stream("placement", 0)
@@ -244,16 +243,18 @@ def simulate_random_cops(
             raise SimulationError(f"start {start!r} does not place {k} cops")
         cops = np.tile(np.array(cfg, dtype=np.int64), (trials, 1))
 
-    def nearest_cop_dist(vertices: np.ndarray, cop_pos: np.ndarray) -> np.ndarray:
-        # vertices (..., ) indexes rows of dmat; cop_pos (..., k)
-        best = dmat[vertices, cop_pos[..., 0]]
-        for j in range(1, k):
-            np.minimum(best, dmat[vertices, cop_pos[..., j]], out=best)
-        return best
-
     if evader == "uniform-random":
         y = seed.stream("evader", 0).integers(0, n, size=trials)
     else:
+        dmat = np.array(distance_matrix(g), dtype=np.int64)
+
+        def nearest_cop_dist(vertices: np.ndarray, cop_pos: np.ndarray) -> np.ndarray:
+            # vertices (..., ) indexes rows of dmat; cop_pos (..., k)
+            best = dmat[vertices, cop_pos[..., 0]]
+            for j in range(1, k):
+                np.minimum(best, dmat[vertices, cop_pos[..., j]], out=best)
+            return best
+
         # the vertex farthest from the nearest starting cop, per trial
         y = nearest_cop_dist(np.arange(n)[:, None], cops[None]).argmax(axis=0)
 

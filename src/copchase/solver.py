@@ -1,6 +1,6 @@
-"""Exact pursuit-game values: adversarial capture times via a minimax
-backward-induction fixpoint, and expected capture times against the
-random-walking (drunk) robber via undiscounted value iteration.
+"""Exact pursuit-game values: adversarial capture times via layered
+retrograde analysis of the minimax game, and expected capture times against
+the random-walking (drunk) robber via undiscounted value iteration.
 
 States are pairs (cop configuration, robber vertex). Cop configurations are
 canonical sorted k-tuples: cops are interchangeable and may share a vertex.
@@ -263,33 +263,17 @@ def solve_adversarial(
 ) -> AdversarialSolution:
     """Minimax capture values for k cops against the adversarial robber.
 
-    Iterates the two-phase backward induction
+    The values solve the two-phase backward induction
         R[x, y] = max over y' in N+(y) of C[x, y']
         C[x, y] = 1 + min over x' in one cop step of R[x', y]
-    from C = inf off-diagonal until nothing changes. States still infinite
-    are the robber-win region (k below the cop number).
+    with C = 0 on occupied states. `_retrograde` decides each state once, in
+    increasing order of value; states never decided keep C = inf and are the
+    robber-win region (k below the cop number).
     """
     space = _StateSpace(g, k, state_cap)
-    m, n = space.m, space.n
-    C = np.full((m, n), np.inf)
-    C[space.occupied] = 0.0
+    C, sweeps = _retrograde(space)
     R = np.empty_like(C)
-    C_new = np.empty_like(C)
-    sweeps = 0
-    while True:
-        sweeps += 1
-        _robber_max(space, C, R)
-        _gathered_min(space.succ_padded, R, C_new)
-        C_new += 1.0
-        C_new[space.occupied] = 0.0
-        if np.array_equal(C_new, C):
-            break
-        C, C_new = C_new, C
-        if sweeps > m * n + 3:
-            raise RuntimeError("adversarial fixpoint failed to stabilize")
-    del C_new
-
-    robber_target = np.empty((m, n), dtype=np.int64)
+    robber_target = np.empty(C.shape, dtype=np.int64)
     cop_policy = _adversarial_policy(space, C, R, robber_target)
     configs = space.configs
     return AdversarialSolution(
@@ -299,6 +283,73 @@ def solve_adversarial(
         robber_policy=RobberPolicy(k, configs, robber_target),
         sweeps=sweeps,
     )
+
+
+# Entries gathered per slice of a retrograde layer; a layer gathered whole
+# peaks at (frontier x table width) int64 entries.
+_SLICE_ENTRIES = 2**13
+
+
+def _retrograde(space: _StateSpace) -> tuple[np.ndarray, int]:
+    """The cop-to-move table C by layered retrograde analysis, and the sweep
+    count the fixpoint iteration from C = inf would take (one layer each).
+
+    Layer t takes the cop-to-move states of value t. Each of them decrements
+    the counter of every robber-to-move state that can step into it; a
+    counter counts the robber's closed moves still undecided, so one that
+    reaches 0 has value t, its largest. Every still-infinite cop-to-move
+    state one cop step away from a robber state of value t then has value
+    t + 1, its smallest. The pass stops at the first layer that decides no
+    cop-to-move state. States are flat indices x * n + y.
+    """
+    n = space.n
+    occupied = space.occupied.ravel()
+    C = np.full(space.m * n, np.inf)
+    C[occupied] = 0.0
+    nbrs, size = space.g._neighbor_table(closed=True)
+    # occupied robber states start decided at 0; decrements only take them
+    # further below 0, so they never reach 0 again
+    count = np.tile(size.astype(np.int32), space.m)
+    count[occupied] = 0
+    one = np.int32(1)  # a Python int sends np.subtract.at down its slow path
+    cols = np.arange(nbrs.shape[1])
+    succ = space.succ_padded
+    frontier = np.flatnonzero(occupied)
+    t = 0
+    while True:
+        robber = [frontier] if t == 0 else []  # occupied robber states: R = 0
+        for f in _slices(frontier, len(cols)):
+            x, y = np.divmod(f, n)
+            pred = (x[:, None] * n + nbrs[y])[cols < size[y][:, None]]  # no pads
+            np.subtract.at(count, pred, one)
+            # a counter at 0 is never decremented again: free as scratch
+            robber.append(_distinct(pred[count[pred] == 0], count))
+        cop = [frontier[:0]]
+        for r in _slices(np.concatenate(robber), succ.shape[1]):
+            x, y = np.divmod(r, n)
+            pred = (succ[x] * n + y[:, None]).ravel()  # pads repeat an entry
+            pred = _distinct(pred[C[pred] == np.inf], C)  # scratch until set
+            C[pred] = t + 1
+            cop.append(pred)
+        frontier = np.concatenate(cop)
+        t += 1
+        if not frontier.size:
+            return C.reshape(space.m, n), t
+
+
+def _slices(states: np.ndarray, width: int):
+    """Consecutive pieces of `states` that gather at most `_SLICE_ENTRIES`
+    entries from a table `width` wide."""
+    step = max(1, _SLICE_ENTRIES // width)
+    return (states[i: i + step] for i in range(0, len(states), step))
+
+
+def _distinct(idx: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """idx with one entry kept per distinct value, in linear time; overwrites
+    scratch[idx] with positions."""
+    pos = np.arange(-1, -1 - len(idx), -1)
+    scratch[idx] = pos
+    return idx[scratch[idx] == pos]
 
 
 def _robber_max(space: _StateSpace, C: np.ndarray, out: np.ndarray, target=None) -> np.ndarray:

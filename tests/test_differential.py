@@ -1,7 +1,8 @@
 """Differential tests on seeded random small graphs: the solver's policy
 evaluator and the fixed-strategy capture distribution against the dense
 cop-modified-chain reference, wavefront Gauss-Seidel against the row-by-row
-loop, and configuration ranking against enumeration."""
+loop, the retrograde adversarial solve against the fixpoint sweep loop, and
+configuration ranking against enumeration."""
 
 import itertools
 import math
@@ -21,22 +22,21 @@ from conftest import random_connected_graph
 # derandomized: every run draws the same examples
 SETTINGS = settings(max_examples=60, derandomize=True, database=None, deadline=None)
 
-instances = st.builds(
-    lambda seed, n, k, p: (random_connected_graph(seed, n, p), k),
-    st.integers(0, 2**31 - 1),
-    st.integers(2, 7),
-    st.integers(1, 3),
-    st.sampled_from([0.1, 0.3, 0.6]),
-)
+
+def graph_instances(n_min, n_max):
+    """Seeded random connected graphs on n_min..n_max vertices, with 1-3 cops."""
+    return st.builds(
+        lambda seed, n, k, p: (random_connected_graph(seed, n, p), k),
+        st.integers(0, 2**31 - 1),
+        st.integers(n_min, n_max),
+        st.integers(1, 3),
+        st.sampled_from([0.1, 0.3, 0.6]),
+    )
 
 
-gs_instances = st.builds(
-    lambda seed, n, k, p: (random_connected_graph(seed, n, p), k),
-    st.integers(0, 2**31 - 1),
-    st.integers(3, 8),
-    st.integers(1, 3),
-    st.sampled_from([0.1, 0.3, 0.6]),
-)
+instances = graph_instances(2, 7)
+gs_instances = graph_instances(3, 8)
+adversarial_instances = graph_instances(2, 8)
 
 NAMED = {
     "cycle12": (cc.cycle(12), 2),
@@ -45,6 +45,75 @@ NAMED = {
     "lollipop20": (cc.lollipop(20, 0.41), 1),
     "tree2x3": (cc.complete_tree(2, 3), 1),
 }
+
+
+def fixpoint_adversarial(space):
+    """Reference adversarial solve: sweep the two-phase backward induction
+    over the whole table from C = inf until nothing changes; the cop-to-move
+    table and the sweep count, the final unchanged sweep included."""
+    m, n = space.m, space.n
+    C = np.full((m, n), np.inf)
+    C[space.occupied] = 0.0
+    R = np.empty_like(C)
+    C_new = np.empty_like(C)
+    sweeps = 0
+    while True:
+        sweeps += 1
+        solver._robber_max(space, C, R)
+        solver._gathered_min(space.succ_padded, R, C_new)
+        C_new += 1.0
+        C_new[space.occupied] = 0.0
+        if np.array_equal(C_new, C):
+            return C, sweeps
+        C, C_new = C_new, C
+        if sweeps > m * n + 3:
+            raise AssertionError("reference fixpoint did not stabilize")
+
+
+def assert_retrograde_matches_fixpoint(g, k):
+    """Returns whether k cops win on g."""
+    sol = cc.solve_adversarial(g, k)
+    space = _StateSpace(g, k, math.inf)
+    C, sweeps = fixpoint_adversarial(space)
+    R = np.empty_like(C)
+    target = np.empty(C.shape, dtype=np.int64)
+    policy = solver._adversarial_policy(space, C, R, target)
+    assert np.array_equal(sol.cop_values.values, C)
+    assert np.array_equal(sol.robber_values.values, R)
+    assert np.array_equal(sol.cop_policy.successor_idx, policy)
+    assert np.array_equal(sol.robber_policy.target, target)
+    assert sol.sweeps == sweeps
+    assert np.array_equal(cc.extract_policy(sol.cop_values, g).successor_idx, policy)
+    return math.isfinite(sol.capture_time())
+
+
+@SETTINGS
+@given(adversarial_instances)
+def test_retrograde_matches_fixpoint(instance):
+    assert_retrograde_matches_fixpoint(*instance)
+
+
+ADVERSARIAL_NAMED = dict(NAMED, **{
+    "cycle12-k1": (cc.cycle(12), 1),  # robber-win
+    "grid4-k1": (cc.grid(4), 1),      # robber-win
+})
+
+
+@pytest.mark.parametrize("name", sorted(ADVERSARIAL_NAMED))
+@pytest.mark.parametrize("slice_entries", [1, 10**9])
+def test_retrograde_matches_fixpoint_named(name, slice_entries, monkeypatch):
+    # 1 gathers one state per slice, 10**9 a whole layer at once
+    monkeypatch.setattr(solver, "_SLICE_ENTRIES", slice_entries)
+    g, k = ADVERSARIAL_NAMED[name]
+    assert assert_retrograde_matches_fixpoint(g, k) == ("k1" not in name)
+
+
+def test_retrograde_matches_fixpoint_on_both_outcomes():
+    # a fixed grid of seeded graphs that holds cop wins and robber wins
+    wins = {assert_retrograde_matches_fixpoint(random_connected_graph(seed, n, p), k)
+            for seed, (n, k, p) in enumerate(itertools.product(
+                range(2, 9), range(1, 4), [0.1, 0.3, 0.6]))}
+    assert wins == {True, False}
 
 
 def row_by_row_gauss_seidel(space, opts):

@@ -264,6 +264,19 @@ def test_reports_are_pinned():
         assert report.to_json() == PINNED_REPORTS[name], name
 
 
+def test_uniform_evader_needs_no_distances(monkeypatch):
+    # only the greedy evader reads distances; the all-pairs BFS is its cost
+    def no_distances(g):
+        raise AssertionError("distance_matrix called")
+
+    monkeypatch.setattr(montecarlo, "distance_matrix", no_distances)
+    g = random_connected_graph(77, 9, 0.3)
+    report = cc.simulate_random_cops(g, 2, "uniform-random", 400, seed=14)
+    assert report.to_json() == PINNED_REPORTS["random-cops-uniform"]
+    with pytest.raises(AssertionError, match="distance_matrix"):
+        cc.simulate_random_cops(g, 1, "max-distance-greedy", 10, seed=13)
+
+
 def test_all_censored_report_is_valid_json():
     # two 5-cycles joined by a path: one random cop never catches the greedy
     # robber within 50 rounds, so there is no mean

@@ -1,6 +1,7 @@
 import io
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -99,6 +100,20 @@ def test_policy_play_reproduces_values():
                 y = sol.robber_policy.successor(x, y)
                 assert rounds <= expected + 1
             assert rounds == expected
+
+
+@pytest.mark.parametrize("g, k", [(cc.barbell(100, 1.0), 1), (cc.grid(10), 2)])
+def test_adversarial_memory_in_bytes(g, k):
+    # the solve's own tables (values, replies, policies) dominate; scratch
+    # gathered per retrograde layer must stay small beside them
+    g._neighbor_table(closed=True)
+    tracemalloc.start()
+    try:
+        sol = cc.solve_adversarial(g, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * sol.cop_values.values.nbytes
 
 
 def test_cop_number():
