@@ -28,6 +28,7 @@ from .solver import (
     CopNumberError,
     SolveOptions,
     StateSpaceError,
+    _drunk_start,
     drunkenness_report,
     solve_adversarial,
     solve_at_cop_number,
@@ -62,7 +63,10 @@ def _add_output_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_solver_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--scheme", choices=["jacobi", "gauss-seidel"], default="gauss-seidel")
+    p.add_argument("--scheme", choices=["jacobi", "gauss-seidel"], default="jacobi",
+                   help="drunk value-iteration scheme (default jacobi): jacobi solves "
+                        "dct, cod and sweep on the graph's symmetry quotient; "
+                        "gauss-seidel updates rows in place on the full state space")
     p.add_argument("--tolerance", type=float, default=1e-10)
     p.add_argument("--max-sweeps", type=int, default=10**6)
     p.add_argument("--state-cap", type=int, default=None,
@@ -140,18 +144,17 @@ def _cmd_ct(args) -> int:
 
 def _cmd_dct(args) -> int:
     g = _build_graph(args)
-    solution = solve_drunk(g, args.k, _opts(args), _state_cap(args))
-    value = solution.drunk_capture_time()
-    start, _ = solution.optimal_start()
+    opts = _opts(args)
+    start, value, stats = _drunk_start(g, args.k, opts, _state_cap(args))
     digits = args.exact_digits
     if args.json:
         _emit_json({"command": "dct", "n": g.n, "k": args.k,
                     "value": _jsonable(value, digits), "start": list(start),
-                    "sweeps": solution.stats.sweeps, "scheme": solution.scheme})
+                    "sweeps": stats.sweeps, "scheme": opts.scheme})
     else:
         print(f"expected capture time: {_fmt(value, digits)}")
         print("optimal start: " + " ".join(str(v) for v in start))
-        print(f"sweeps: {solution.stats.sweeps}")
+        print(f"sweeps: {stats.sweeps}")
     return EXIT_OK
 
 
@@ -235,12 +238,11 @@ def _cmd_sweep(args) -> int:
                                else solve_at_cop_number(g, args.max_cops, cap))
                 k, ct = adversarial.cop_values.k, adversarial.capture_time()
                 del adversarial  # free its tables before the drunk solve
-                drunk = solve_drunk(g, k, opts, cap)
-                dct = drunk.drunk_capture_time()
+                _, dct, stats = _drunk_start(g, k, opts, cap)
                 row.update(k=k, ct=_fmt(ct, args.exact_digits),
                            dct=_fmt(dct, args.exact_digits),
                            F=_fmt(ct / dct, args.exact_digits) if dct > 0 else "inf",
-                           sweeps=drunk.stats.sweeps)
+                           sweeps=stats.sweeps)
             except Exception as exc:  # per-row failures recorded, run continues
                 row["error"] = str(exc)
             row["wall_time_s"] = f"{time.perf_counter() - t0:.3f}"

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence, TextIO
+from typing import Callable, Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -24,7 +25,7 @@ class Graph:
     range, and connectivity.
     """
 
-    __slots__ = ("n", "adjacency", "_edge_count", "_tables")
+    __slots__ = ("n", "adjacency", "_edge_count", "_tables", "_symmetries")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if not isinstance(n, int) or n < 1:
@@ -47,6 +48,7 @@ class Graph:
         )
         object.__setattr__(self, "_edge_count", m)
         object.__setattr__(self, "_tables", None)
+        object.__setattr__(self, "_symmetries", None)
         if min(_bfs_distances(self, 0)) < 0:
             raise GraphError("graph is not connected")
 
@@ -63,6 +65,23 @@ class Graph:
             closed_rows = [self.closed_neighbors(v) for v in range(self.n)]
             object.__setattr__(self, "_tables", (_padded(self.adjacency), _padded(closed_rows)))
         return self._tables[1 if closed else 0]
+
+    @property
+    def symmetries(self) -> np.ndarray:
+        """The declared symmetry group, a subgroup of the automorphism group,
+        as a (group order, n) int64 array whose row s maps vertex v to s[v].
+        Cycles declare the dihedral group, paths and barbells the mirror,
+        grids the symmetries of the square; every other graph has the
+        trivial group. Rows are distinct: the identity, then the declared
+        order, which decides the element the drunk solver picks where several
+        map a configuration alike (cycles list rotations first, so that few
+        distinct elements serve every successor). Built on first use and
+        checked against the edge set then."""
+        declared = self._symmetries
+        if not isinstance(declared, np.ndarray):
+            group = _checked_symmetries(self, declared() if declared else [])
+            object.__setattr__(self, "_symmetries", group)
+        return self._symmetries
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Open neighborhood N(v)."""
@@ -116,11 +135,54 @@ def validate(g: Graph) -> GraphDiagnostics:
 def _padded(rows: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
     """Rows as one int64 table, short rows padded with their first entry, and their sizes."""
     size = np.array([len(row) for row in rows], dtype=np.int64)
-    table = np.empty((len(rows), int(size.max())), dtype=np.int64)
-    for v, row in enumerate(rows):
-        table[v, : len(row)] = row
-        table[v, len(row):] = row[:1]  # on a single vertex, row and pad are empty
-    return table, size
+    flat = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64, count=int(size.sum()))
+    return _padded_flat(flat, size), size
+
+
+def _padded_flat(flat: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """The table of `_padded` from its rows laid end to end in flat, row i
+    holding size[i] entries."""
+    table = np.empty((len(size), int(size.max())), dtype=np.int64)
+    start = np.cumsum(size) - size
+    row = np.repeat(np.arange(len(size)), size)
+    table[row, np.arange(len(flat)) - start[row]] = flat
+    pad = np.arange(table.shape[1]) >= size[:, None]  # on a single vertex, row and pad are empty
+    table[pad] = np.broadcast_to(table[:, :1], table.shape)[pad]
+    return table
+
+
+def _declared(g: Graph, symmetries: Callable[[], Sequence]) -> Graph:
+    """g with a declared symmetry group: `symmetries()` returns its elements,
+    one vertex permutation per row. The group of a large cycle does not fit
+    in memory, so it is built only when `g.symmetries` is first read."""
+    object.__setattr__(g, "_symmetries", symmetries)
+    return g
+
+
+def _checked_symmetries(g: Graph, perms) -> np.ndarray:
+    """The identity and then `perms`, each row kept at its first occurrence;
+    GraphError unless every row is a vertex permutation that maps the edge
+    set onto itself."""
+    n = g.n
+    declared = np.asarray(perms, dtype=np.int64)
+    if declared.size and declared.shape[-1] != n:
+        raise GraphError(f"declared symmetries must permute {n} vertices")
+    rows = np.vstack([np.arange(n), declared.reshape(-1, n)])
+    order = np.lexsort(rows.T)  # stable: equal rows stay in declared order
+    ranked = rows[order]
+    first = np.concatenate(([True], (ranked[1:] != ranked[:-1]).any(axis=1)))
+    # not np.unique, which imports numpy.ma; stable sorts, as in the solver
+    group = rows[np.sort(order[first], kind="stable")]
+    edges = np.array(g.edges(), dtype=np.int64).reshape(-1, 2)
+    codes = edges[:, 0] * n + edges[:, 1]  # sorted: g.edges() is
+    for perm in group:
+        if not np.array_equal(np.sort(perm, kind="stable"), np.arange(n)):
+            raise GraphError(f"declared symmetry {perm.tolist()} is not a vertex permutation")
+        image = perm[edges]
+        if not np.array_equal(np.sort(image.min(axis=1) * n + image.max(axis=1), kind="stable"),
+                              codes):
+            raise GraphError(f"declared symmetry {perm.tolist()} is not an automorphism")
+    return group
 
 
 def _bfs_distances(g: Graph, source: int) -> list[int]:
@@ -150,14 +212,19 @@ def path(n: int) -> Graph:
     """Path on n >= 1 vertices, edges {i-1, i}."""
     if n < 1:
         raise GraphError(f"path requires n >= 1, got {n}")
-    return Graph(n, [(i - 1, i) for i in range(1, n)])
+    return _declared(Graph(n, [(i - 1, i) for i in range(1, n)]), lambda: np.arange(n)[::-1])
 
 
 def cycle(n: int) -> Graph:
     """Cycle on n >= 3 vertices, edges {i, i+1 mod n}."""
     if n < 3:
         raise GraphError(f"cycle requires n >= 3, got {n}")
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+    def dihedral():
+        v, shift = np.arange(n), np.arange(n)[:, None]
+        return np.vstack([(v + shift) % n, (shift - v) % n])  # rotations, reflections
+
+    return _declared(Graph(n, [(i, (i + 1) % n) for i in range(n)]), dihedral)
 
 
 def complete_tree(d: int, depth: int) -> Graph:
@@ -202,7 +269,13 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
 
 def grid(n: int) -> Graph:
     """Square grid: the Cartesian product of two paths on n vertices."""
-    return cartesian_product(path(n), path(n))
+
+    def square():  # the 8 symmetries of the square: transpose or not, then flip either axis
+        i, j = np.divmod(np.arange(n * n), n)
+        return [a * n + b for u, v in ((i, j), (j, i))
+                for a in (u, n - 1 - u) for b in (v, n - 1 - v)]
+
+    return _declared(cartesian_product(path(n), path(n)), square)
 
 
 def _clique_size(n: int, c: float) -> int:
@@ -232,8 +305,13 @@ def barbell(n: int, c: float) -> Graph:
         for i, u in enumerate(members):
             for v in members[i + 1:]:
                 edges.append((u, v))
-    total = n + 2 * (m - 1) if m >= 1 else n
-    return Graph(total, edges)
+    extra = max(m - 1, 0)  # each clique's vertices off the path
+    total = n + 2 * extra
+
+    def mirror():  # reverse the path and swap the cliques' extra vertices
+        return [*range(n - 1, -1, -1), *range(n + extra, total), *range(n, n + extra)]
+
+    return _declared(Graph(total, edges), mirror)
 
 
 def lollipop(n: int, c: float) -> Graph:
@@ -295,7 +373,15 @@ def relabel(g: Graph, perm: Sequence[int]) -> Graph:
     """Apply a vertex permutation: vertex v becomes perm[v]."""
     if sorted(perm) != list(range(g.n)):
         raise GraphError("perm must be a permutation of 0..n-1")
-    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+    h = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+    def conjugated():  # s becomes perm . s . perm^-1
+        p, group = np.asarray(perm, dtype=np.int64), g.symmetries
+        out = np.empty_like(group)
+        out[:, p] = p[group]
+        return out
+
+    return _declared(h, conjugated)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Exact pursuit-game values: adversarial capture times via layered
 retrograde analysis of the minimax game, and expected capture times against
-the random-walking (drunk) robber via undiscounted value iteration.
+the random-walking (drunk) robber via undiscounted value iteration, which
+scalar answers run on the quotient by the graph's declared symmetry group.
 
 States are pairs (cop configuration, robber vertex). Cop configurations are
 canonical sorted k-tuples: cops are interchangeable and may share a vertex.
@@ -18,7 +19,7 @@ from typing import TextIO
 import numpy as np
 
 from .chain import as_config, base_transition
-from .graphs import Graph, _padded
+from .graphs import Graph, _padded_flat
 
 INFINITE = math.inf
 DEFAULT_STATE_CAP = 5_000_000
@@ -47,7 +48,7 @@ class CopNumberError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolveOptions:
-    scheme: str = "gauss-seidel"
+    scheme: str = "jacobi"
     tolerance: float = 1e-10
     max_sweeps: int = 10**6
 
@@ -61,35 +62,142 @@ class SolveOptions:
 
 
 class _StateSpace:
-    """Enumerated cop configurations with successor and occupancy tables.
-    Rows follow combinations_with_replacement order; see `_config_rank`."""
+    """Cop configurations with successor and occupancy tables: one row per
+    orbit of the configurations under a group of vertex permutations, with
+    all n robber columns.
 
-    def __init__(self, g: Graph, k: int, state_cap: float):
+    By default the group is trivial and rows are all configurations in
+    combinations_with_replacement order (see `_config_rank`). With
+    `symmetric=True` it is the graph's declared group `g.symmetries`, and a
+    row stands for its orbit's first (lexicographically smallest) member,
+    rows ascending. The state cap then counts orbit rows x n x (2 + E) / 3:
+    a Jacobi sweep holds 2 + E tables of that size (see `_drunk_jacobi`)
+    where one over the full space holds 3.
+
+    Values are invariant under the group: if s maps a successor x' of a row
+    onto the row r, the value at (x', y) is the value at (r, s(y)). So a
+    successor slot holds e * m + r: it reads row r of the table with its
+    columns permuted by cols[e], one of the E group elements that some slot
+    uses (e = 0 is the identity, the only one under the trivial group).
+    """
+
+    def __init__(self, g: Graph, k: int, state_cap: float, symmetric: bool = False):
         if k < 1:
             raise ValueError(f"cop count must be >= 1, got {k}")
         n = g.n
+        self.group = g.symmetries if symmetric else np.arange(n)[None]
         m = math.comb(n + k - 1, k)
-        if m * n > state_cap:
+        order = len(self.group)
+        if m * n > state_cap * order:  # there are at least m / |G| orbits
+            per = "" if order == 1 else f" / {order} symmetries"
             raise StateSpaceError(
-                f"{m} configurations x {n} robber vertices = {m * n} states "
-                f"exceeds cap {state_cap}"
+                f"{m} configurations x {n} robber vertices{per} = {m * n // order}"
+                f"{'' if order == 1 else '+'} states exceeds cap {state_cap}"
             )
         self.g = g
         self.n = n
         self.k = k
-        self.m = m
-        self.configs = list(itertools.combinations_with_replacement(range(n), k))
-        # a dict is faster than _config_rank for this many lookups
-        index = {cfg: i for i, cfg in enumerate(self.configs)}
-        closed = [g.closed_neighbors(v) for v in range(n)]
-        # per-config successor configurations (one independent step per cop),
-        # kept sorted so first-hit argmin realizes the lexicographic tie-break
-        succ = []
-        for cfg in self.configs:
-            moves = itertools.product(*(closed[v] for v in cfg))
-            succ.append(sorted({index[tuple(sorted(combo))] for combo in moves}))
-        self.succ_padded, self.succ_count = _padded(succ)  # pads never win a min
+        self.state_cap = state_cap
+        if order == 1:
+            self.configs = list(itertools.combinations_with_replacement(range(n), k))
+        else:
+            self.configs = self._successors[0]
+        self.m = len(self.configs)
         self.occupied = _occupancy(self.configs, n)
+
+    @functools.cached_property
+    def _successors(self) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
+        """The orbit representatives, `succ_padded`, `succ_count` and
+        `cols`. Pieces of rows are expanded one at a time: every cop step
+        from each row is listed, ranked and canonicalized in numpy, and the
+        orbits not seen before become new pieces. Under the trivial group
+        every configuration is a row from the start; otherwise the search
+        starts from the all-at-0 orbit (rank 0, the least of all), so only
+        representatives are expanded."""
+        n, k, group = self.n, self.k, self.group
+        table = _rank_table(n, k)
+        closed = [self.g.closed_neighbors(v) for v in range(n)]
+        size = np.array([len(row) for row in closed])
+        width = int(size.max()) ** k  # the most cop steps from one configuration
+        seen = np.zeros(math.comb(n + k - 1, k), dtype=bool)  # by rank
+        if len(group) == 1:
+            seen[:] = True
+            frontier, reps = np.arange(len(seen)), np.array(self.configs, dtype=np.int64)
+        else:
+            seen[0] = True
+            frontier, reps = np.zeros(1, dtype=np.int64), np.zeros((1, k), dtype=np.int64)
+        orbits = len(frontier)
+        pending = list(zip(_slices(frontier, width), _slices(reps, width)))
+        found, rows, ranks, elems = [], [], [], []
+        while pending:
+            frontier, reps = pending.pop()
+            found.append((frontier, reps))
+            moves = itertools.chain.from_iterable(
+                itertools.product(*(closed[v] for v in cfg)) for cfg in reps.tolist())
+            cfgs = np.fromiter(itertools.chain.from_iterable(moves), dtype=np.int64).reshape(-1, k)
+            # stable sorts only: numpy's default quicksort is separate code
+            # that a process would otherwise page in (about 0.3 MB of RSS)
+            cfgs.sort(axis=1, kind="stable")
+            src = np.repeat(frontier, size[reps].prod(axis=1))
+            # each row's distinct successors, ascending, so that a first-hit
+            # argmin realizes the lexicographic tie-break
+            own = _ranks(cfgs, table)
+            at = np.lexsort((own, src))
+            src, own = src[at], own[at]
+            distinct = np.concatenate(([True], (src[1:] != src[:-1]) | (own[1:] != own[:-1])))
+            src, at = src[distinct], at[distinct]
+            rank, elem = _canonical(cfgs[at], group, table)
+            rows.append(src)
+            ranks.append(rank)
+            elems.append(elem)
+            # runs of a stable sort, not np.unique: its first call imports numpy.ma
+            by_rank = np.argsort(rank, kind="stable")
+            fresh = rank[by_rank]
+            head = np.concatenate(([True], fresh[1:] != fresh[:-1]))
+            fresh, first = fresh[head], by_rank[head]
+            new = ~seen[fresh]
+            fresh, first = fresh[new], first[new]
+            seen[fresh] = True
+            images = np.sort(group[elem[first, None], cfgs[at[first]]], axis=1, kind="stable")
+            pending.extend(zip(_slices(fresh, width), _slices(images, width)))
+            orbits += len(fresh)
+            if orbits * n > self.state_cap:
+                raise StateSpaceError(f"{orbits}+ configuration orbits x {n} robber "
+                                      f"vertices exceeds cap {self.state_cap}")
+        rep_ranks = np.concatenate([f for f, _ in found])
+        by_rank = np.argsort(rep_ranks, kind="stable")
+        rep_ranks = rep_ranks[by_rank]
+        configs = list(map(tuple, np.concatenate([c for _, c in found])[by_rank].tolist()))
+        m = len(rep_ranks)
+        row = np.searchsorted(rep_ranks, np.concatenate(rows))
+        ranks, elem = np.concatenate(ranks), np.concatenate(elems)
+        used = np.flatnonzero(np.bincount(elem))  # holds 0: every row is its own successor
+        if m * n * (2 + len(used)) > 3 * self.state_cap:
+            raise StateSpaceError(
+                f"{m} configuration orbits x {n} robber vertices x (2 + {len(used)} group "
+                f"elements) / 3 = {m * n * (2 + len(used)) // 3} states exceeds cap "
+                f"{self.state_cap}")
+        slot = np.searchsorted(used, elem) * m + np.searchsorted(rep_ranks, ranks)
+        count = np.bincount(row, minlength=m)
+        succ = _padded_flat(slot[np.argsort(row, kind="stable")], count)
+        return configs, succ, count, group[used]
+
+    @property
+    def succ_padded(self) -> np.ndarray:
+        """Per-row successor slots (one independent step per cop), sorted by
+        successor configuration so that a first-hit argmin realizes the
+        lexicographic tie-break; short rows repeat their first entry, which
+        never wins a min. Built on first use."""
+        return self._successors[1]
+
+    @property
+    def succ_count(self) -> np.ndarray:
+        return self._successors[2]
+
+    @property
+    def cols(self) -> np.ndarray:
+        """(E, n) column permutations of the slots: the group elements used."""
+        return self._successors[3]
 
     @functools.cached_property
     def walk(self) -> np.ndarray:
@@ -139,6 +247,39 @@ def _config_rank(n: int, k: int, config) -> int:
     # c_i + i is a k-subset of range(n + k - 1): count the subsets after it
     top = n + k - 1
     return math.comb(top, k) - 1 - sum(math.comb(top - 1 - c - i, k - i) for i, c in enumerate(cfg))
+
+
+def _rank_table(n: int, k: int) -> np.ndarray:
+    """table[i, r] = C(r, k - i), read by `_ranks`. Entries above C(n+k-1, k)
+    are never read, and are capped there so that they fit in int64."""
+    m = math.comb(n + k - 1, k)
+    return np.array([[min(math.comb(r, k - i), m) for r in range(n + k)] for i in range(k)],
+                    dtype=np.int64)
+
+
+def _ranks(cfgs: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """`_config_rank` of each sorted k-tuple along the last axis of cfgs."""
+    k, top = cfgs.shape[-1], table.shape[1] - 1
+    i = np.arange(k)
+    return table[0, top] - 1 - table[i, top - 1 - cfgs - i].sum(axis=-1)
+
+
+def _canonical(cfgs: np.ndarray, group: np.ndarray, table: np.ndarray):
+    """Per sorted k-tuple row of cfgs, the least rank among its images under
+    the group and the first element (row of group) that reaches it: a
+    running minimum over slices of the group, each slice gathering at most
+    max(`_SLICE_ENTRIES`, cfgs.size) entries."""
+    best = np.full(len(cfgs), np.iinfo(np.int64).max)
+    elem = np.zeros(len(cfgs), dtype=np.int64)
+    step = max(1, _SLICE_ENTRIES // cfgs.size)
+    for lo in range(0, len(group), step):
+        ranks = _ranks(np.sort(group[lo: lo + step][:, cfgs], axis=-1, kind="stable"), table)
+        first = ranks.argmin(axis=0)
+        low = ranks[first, np.arange(len(cfgs))]
+        better = low < best
+        best[better] = low[better]
+        elem[better] = lo + first[better]
+    return best, elem
 
 
 class ValueTable:
@@ -253,9 +394,18 @@ class DrunkSolution:
         return self.optimal_start()[1]
 
     def optimal_start(self) -> tuple[tuple[int, ...], float]:
+        """The first configuration whose mean lies within 8 ulps of the
+        least mean (see `_near_min`), and the least mean."""
         means = self.values.config_means()
-        best = int(means.argmin())
-        return self.values.configs[best], float(means[best])
+        return self.values.configs[_near_min(means)], float(means.min())
+
+
+def _near_min(means: np.ndarray) -> int:
+    """Index of the first entry within 8 ulps of the minimum. Exact ties,
+    such as mirror-image starts, then do not depend on the scheme or the
+    summation order that rounded them apart."""
+    low = means.min()
+    return int(np.flatnonzero(means <= low + 8 * np.spacing(low))[0])
 
 
 def solve_adversarial(
@@ -453,13 +603,22 @@ def _smeared(space: _StateSpace, C: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _drunk_jacobi(space: _StateSpace, opts: SolveOptions):
+    """Jacobi sweeps from C = 0 over the rows of `space`. Each sweep smears
+    the table into stack[0] and copies it once per other group element e
+    that a slot uses, with its columns permuted by cols[e], so that every
+    slot e * m + r stays a plain row gather of the stack. Under the trivial
+    group the stack is the smear alone."""
+    cols = space.cols
     C = np.zeros((space.m, space.n))
-    W = np.empty_like(C)
     C_new = np.empty_like(C)
+    stack = np.empty((len(cols), space.m, space.n))
     min_increment = math.inf
     for sweep in range(1, opts.max_sweeps + 1):
-        _smeared(space, C, W)
-        _gathered_min(space.succ_padded, W, C_new)
+        _smeared(space, C, stack[0])
+        for e in range(1, len(cols)):
+            # mode="clip": with the default "raise", take fills `out` through a buffer
+            np.take(stack[0], cols[e], axis=1, out=stack[e], mode="clip")
+        _gathered_min(space.succ_padded, stack.reshape(-1, space.n), C_new)
         C_new += 1.0
         C_new[space.occupied] = 0.0
         diff = C_new - C
@@ -543,7 +702,35 @@ def drunk_capture_time(
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> float:
     """min over starts of the uniform-placement expected capture time."""
-    return solve_drunk(g, k, opts, state_cap).drunk_capture_time()
+    return _drunk_start(g, k, opts, state_cap)[1]
+
+
+def _drunk_start(
+    g: Graph,
+    k: int,
+    opts: SolveOptions | None = None,
+    state_cap: int = DEFAULT_STATE_CAP,
+) -> tuple[tuple[int, ...], float, SweepStats]:
+    """The optimal start and drunk capture time of `solve_drunk`, and its
+    sweep stats, without the tables.
+
+    Jacobi runs on the quotient by the graph's declared group (under the
+    trivial group, the full space), whose cap counts orbit rows and the
+    table copies they need (see `_StateSpace`).
+    The start is the first member of the first orbit whose mean is within
+    `_near_min` of the least. On graphs of maximum degree 2 (paths, cycles)
+    the quotient rows equal the full table's bit for bit; elsewhere they
+    differ from it in the last bits, because the smear sums in another order.
+    """
+    if opts is None:
+        opts = SolveOptions()
+    if opts.scheme == "gauss-seidel" or g.n == 1:
+        solution = solve_drunk(g, k, opts, state_cap)
+        return (*solution.optimal_start(), solution.stats)
+    space = _StateSpace(g, k, state_cap, symmetric=True)
+    C, stats = _drunk_jacobi(space, opts)
+    means = C.mean(axis=1)
+    return space.configs[_near_min(means)], float(means.min()), stats
 
 
 def extract_policy(table: ValueTable, g: Graph, state_cap: int = DEFAULT_STATE_CAP) -> FeedbackPolicy:
@@ -640,16 +827,15 @@ def drunkenness_report(
     cops = adversarial.cop_values.k
     adversarial_start, ct = adversarial.optimal_start()
     del adversarial  # free its tables before the drunk solve
-    drunk = solve_drunk(g, cops, opts, state_cap)
-    dct = drunk.drunk_capture_time()
+    start, dct, stats = _drunk_start(g, cops, opts, state_cap)
     return DrunkennessReport(
         cops=cops,
         capture_time=ct,
         drunk_capture_time=dct,
         ratio=ct / dct,
         adversarial_start=adversarial_start,
-        drunk_start=drunk.optimal_start()[0],
-        sweeps=drunk.stats.sweeps,
+        drunk_start=start,
+        sweeps=stats.sweeps,
     )
 
 

@@ -1,10 +1,15 @@
-"""Shared test helpers: deterministic graph factories, sweep strategies and
-the game-tree minimax oracle."""
+"""Shared test helpers: deterministic graph factories, sweep strategies, the
+game-tree minimax oracle and the exact drunk-robber oracle."""
 
+import itertools
 import math
 import random
+from fractions import Fraction
+
+import numpy as np
 
 import copchase as cc
+from copchase import solver
 
 
 def complete_graph(n: int) -> cc.Graph:
@@ -62,3 +67,105 @@ def minimax_capture_value(g, x, y, horizon, memo):
         best = min(best, val)
     memo[key] = best
     return best
+
+
+def exact_drunk_values(g, k, policy):
+    """Exact expected capture times against the drunk robber by policy
+    iteration in Fractions (Howard 1960; Bertsekas & Tsitsiklis 1991 for
+    stochastic shortest paths), starting from `policy`, a proper
+    (configuration row, robber) -> successor row array such as a float
+    solver's. Returns the (configurations x n) value lists and the number of
+    improvement rounds that changed the policy.
+
+    A cop move onto the robber's vertex is worth 1, and a robber step onto a
+    cop adds nothing after it; occupied states are worth 0. Evaluation solves
+    the policy's linear system over the free states exactly; improvement
+    switches a state only on a strict gain, so the iteration ends at an
+    optimal policy.
+    """
+    n = g.n
+    configs = list(itertools.combinations_with_replacement(range(n), k))
+    index = {cfg: i for i, cfg in enumerate(configs)}
+    succ = [sorted({index[tuple(sorted(c))]
+                    for c in itertools.product(*(g.closed_neighbors(v) for v in cfg))})
+            for cfg in configs]
+    free = [(x, y) for x, cfg in enumerate(configs) for y in range(n) if y not in cfg]
+    action = {s: int(policy[s]) for s in free}
+
+    def after_cops(V, x2, y):
+        """Expected value once the cops stand on x2 and the robber steps from y."""
+        if y in configs[x2]:
+            return Fraction(0)
+        nbrs = g.neighbors(y)
+        return Fraction(sum(V[x2][z] for z in nbrs), len(nbrs))
+
+    rounds = 0
+    while True:
+        V = _evaluate(g, configs, free, action)
+        changed = False
+        for x, y in free:
+            best = after_cops(V, action[x, y], y)
+            for x2 in succ[x]:
+                value = after_cops(V, x2, y)
+                if value < best:
+                    best, action[x, y], changed = value, x2, True
+        if not changed:
+            return V, rounds
+        rounds += 1
+
+
+def _evaluate(g, configs, free, action):
+    """Values of a fixed cop policy: Gauss-Jordan elimination on sparse rows
+    of V[s] - sum of P[s, s'] V[s'] = 1 over the free states s."""
+    col = {s: i for i, s in enumerate(free)}
+    rows, rhs = [], []
+    for x, y in free:
+        x2 = action[x, y]
+        row = {col[x, y]: Fraction(1)}
+        if y not in configs[x2]:
+            nbrs = g.neighbors(y)
+            for z in nbrs:
+                if z not in configs[x2]:
+                    c = col[x2, z]
+                    row[c] = row.get(c, 0) - Fraction(1, len(nbrs))
+        rows.append(row)
+        rhs.append(Fraction(1))
+    holders = [set() for _ in free]  # column -> rows with a nonzero there
+    for r, row in enumerate(rows):
+        for c in row:
+            holders[c].add(r)
+    for p, row in enumerate(rows):
+        inv = 1 / row[p]  # nonzero: I - P is a nonsingular M-matrix for a proper policy
+        row = rows[p] = {c: v * inv for c, v in row.items()}
+        rhs[p] *= inv
+        for r in holders[p] - {p}:
+            factor = rows[r].pop(p)
+            for c, v in row.items():
+                if c != p:
+                    value = rows[r].get(c, 0) - factor * v
+                    if value:
+                        rows[r][c] = value
+                        holders[c].add(r)
+                    else:
+                        rows[r].pop(c, None)
+                        holders[c].discard(r)
+            rhs[r] -= factor * rhs[p]
+        holders[p] = {p}
+    V = [[Fraction(0)] * g.n for _ in configs]
+    for (x, y), value in zip(free, rhs):
+        V[x][y] = value
+    return V
+
+
+def lift_quotient(q, C):
+    """The full (configurations x n) table of a table C over the rows of a
+    symmetric `solver._StateSpace` q. Row x is C's row r for x's orbit with
+    its columns permuted by the group element s that maps x onto r's
+    configuration: the value at (x, y) is the value at (s(x), s(y))."""
+    table = solver._rank_table(q.n, q.k)
+    configs = np.array(list(itertools.combinations_with_replacement(range(q.n), q.k)))
+    ranks, elems = solver._canonical(configs, q.group, table)
+    rows = np.searchsorted(solver._ranks(np.array(q.configs), table), ranks)
+    images = np.sort(q.group[elems[:, None], configs], axis=1)
+    assert np.array_equal(images, np.array(q.configs)[rows])  # s(x) is row r
+    return C[rows[:, None], q.group[elems]]

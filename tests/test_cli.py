@@ -262,8 +262,21 @@ def test_nonconvergence_exit(capsys):
 
 
 def test_scheme_flag(capsys, schema):
-    code, out, _ = run_cli(capsys, "dct", "--family", "path", "--n", "6", "--k", "1",
-                           "--scheme", "jacobi", "--json")
+    for flags, scheme in [([], "jacobi"), (["--scheme", "gauss-seidel"], "gauss-seidel")]:
+        code, out, _ = run_cli(capsys, "dct", "--family", "path", "--n", "6", "--k", "1",
+                               *flags, "--json")
+        assert code == 0
+        payload = check_json(schema, out)
+        assert payload["scheme"] == scheme
+
+
+def test_dct_beyond_the_full_state_cap(capsys):
+    # C400 k=2 has 32M states, over the default cap; its dihedral quotient
+    # has 201 x 400
+    code, out, _ = run_cli(capsys, "dct", "--family", "cycle", "--n", "400", "--k", "2",
+                           "--json")
     assert code == 0
-    payload = check_json(schema, out)
-    assert payload["scheme"] == "jacobi"
+    assert 0.11 <= json.loads(out)["value"] / 400 <= 0.125
+    code, _, err = run_cli(capsys, "dct", "--family", "cycle", "--n", "400", "--k", "2",
+                           "--scheme", "gauss-seidel")
+    assert code == 3 and "exceeds cap" in err

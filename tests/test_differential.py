@@ -1,11 +1,13 @@
 """Differential tests on seeded random small graphs: the solver's policy
 evaluator and the fixed-strategy capture distribution against the dense
 cop-modified-chain reference, wavefront Gauss-Seidel against the row-by-row
-loop, the retrograde adversarial solve against the fixpoint sweep loop, and
-configuration ranking against enumeration."""
+loop, the retrograde adversarial solve against the fixpoint sweep loop,
+both drunk schemes and the symmetry quotient against exact values and
+against each other, and configuration ranking against enumeration."""
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,9 +17,10 @@ from hypothesis import strategies as st
 import copchase as cc
 from copchase import solver
 from copchase.chain import MASS_TOL
-from copchase.solver import SolveOptions, SweepStats, _config_rank, _StateSpace
+from copchase.solver import (SolveOptions, SweepStats, _config_rank, _drunk_start, _near_min,
+                             _StateSpace)
 
-from conftest import random_connected_graph
+from conftest import exact_drunk_values, lift_quotient, random_connected_graph
 
 # derandomized: every run draws the same examples
 SETTINGS = settings(max_examples=60, derandomize=True, database=None, deadline=None)
@@ -143,7 +146,7 @@ def row_by_row_gauss_seidel(space, opts):
     raise AssertionError("reference Gauss-Seidel did not converge")
 
 
-def assert_gauss_seidel_matches_rows(g, k, opts=SolveOptions()):
+def assert_gauss_seidel_matches_rows(g, k, opts=SolveOptions(scheme="gauss-seidel")):
     sol = cc.solve_drunk(g, k, opts)
     space = _StateSpace(g, k, math.inf)
     C, stats = row_by_row_gauss_seidel(space, opts)
@@ -157,7 +160,7 @@ def assert_gauss_seidel_matches_rows(g, k, opts=SolveOptions()):
 def test_gauss_seidel_matches_row_loop(instance):
     g, k = instance
     assert_gauss_seidel_matches_rows(g, k)
-    assert_gauss_seidel_matches_rows(g, k, SolveOptions(tolerance=1e-300))
+    assert_gauss_seidel_matches_rows(g, k, SolveOptions(scheme="gauss-seidel", tolerance=1e-300))
 
 
 @pytest.mark.parametrize("name", sorted(NAMED))
@@ -240,6 +243,89 @@ def test_policy_value_of_jacobi_policy_is_the_jacobi_table(instance):
     assert sol.stats.final_delta == 0.0
     assert np.array_equal(cc.policy_value(g, sol.policy, tolerance=exact).values,
                           sol.values.values)
+
+
+def quotient_jacobi(g, k, opts):
+    q = _StateSpace(g, k, math.inf, symmetric=True)
+    C, stats = solver._drunk_jacobi(q, opts)
+    return q, C, stats
+
+
+# family members of 2 to 8 vertices, each with its declared group
+SMALL_FAMILIES = ([cc.path(n) for n in range(2, 9)] + [cc.cycle(n) for n in range(3, 9)]
+                  + [cc.grid(2)] + [cc.barbell(n, c) for n, c in
+                                    [(2, 1.0), (3, 1.0), (4, 0.5), (4, 0.75), (6, 0.34)]])
+
+
+@st.composite
+def exact_instances(draw):
+    if draw(st.booleans()):
+        g = random_connected_graph(draw(st.integers(0, 2**31 - 1)), draw(st.integers(2, 8)),
+                                   draw(st.sampled_from([0.1, 0.3, 0.6])))
+    else:
+        g = draw(st.sampled_from(SMALL_FAMILIES))
+        if draw(st.booleans()):
+            g = cc.relabel(g, draw(st.permutations(range(g.n))))  # a conjugated group
+    return g, draw(st.integers(1, 2))
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(exact_instances())
+def test_drunk_solvers_match_exact_values(instance):
+    g, k = instance
+    opts = {scheme: SolveOptions(scheme=scheme, tolerance=1e-300) for scheme in solver.SCHEMES}
+    jacobi = cc.solve_drunk(g, k, opts["jacobi"])
+    gauss_seidel = cc.solve_drunk(g, k, opts["gauss-seidel"])
+    q, C, stats = quotient_jacobi(g, k, opts["jacobi"])
+    V, rounds = exact_drunk_values(g, k, jacobi.policy.successor_idx)
+    assert rounds == 0  # the float policy is optimal, ties allowed
+    exact = np.array(V, dtype=float)
+    for table in (jacobi.values.values, gauss_seidel.values.values, lift_quotient(q, C)):
+        assert np.all(np.abs(table - exact) <= 1e-14 * exact)
+    if len(g.symmetries) == 1:  # the quotient is the full space
+        assert np.array_equal(C, jacobi.values.values) and stats == jacobi.stats
+    means = [sum(row) for row in V]
+    best = {cfg for cfg, mean in zip(jacobi.values.configs, means) if mean == min(means)}
+    starts = {jacobi.optimal_start()[0], gauss_seidel.optimal_start()[0],
+              q.configs[_near_min(C.mean(axis=1))],
+              _drunk_start(g, k, opts["jacobi"])[0], _drunk_start(g, k, opts["gauss-seidel"])[0]}
+    assert starts <= best
+
+
+def test_exact_oracle_closed_forms():
+    # one cop on P3 catches the robber in one round from anywhere but its own
+    # vertex: from an end the cop steps to the centre, which the robber must
+    # step onto; so every start has mean (0 + 1 + 1) / 3
+    g = cc.path(3)
+    V, _ = exact_drunk_values(g, 1, cc.solve_drunk(g, 1).policy.successor_idx)
+    assert [sum(row) / 3 for row in V] == [Fraction(2, 3)] * 3
+    # P2 with the cops stacked or apart: a lone cop catches in one round
+    g = cc.path(2)
+    V, _ = exact_drunk_values(g, 2, cc.solve_drunk(g, 2).policy.successor_idx)
+    assert V == [[0, 1], [0, 0], [1, 0]]
+
+
+QUOTIENT_CASES = ([(f"C{n}", cc.cycle(n), k) for n in (3, 4, 7, 12, 16) for k in (1, 2, 3)]
+                  + [(f"P{n}", cc.path(n), k) for n in (2, 5, 8, 13) for k in (1, 2, 3)]
+                  + [("G3", cc.grid(3), 2), ("G5", cc.grid(5), 2), ("G6", cc.grid(6), 1),
+                     ("B8", cc.barbell(8, 0.5), 1), ("B10", cc.barbell(10, 1.0), 2),
+                     ("B20", cc.barbell(20, 0.4), 1)])
+
+
+@pytest.mark.parametrize("name,g,k", QUOTIENT_CASES, ids=[c[0] for c in QUOTIENT_CASES])
+@pytest.mark.parametrize("tolerance", [1e-10, 1e-300])
+def test_quotient_lifts_to_the_full_jacobi_table(name, g, k, tolerance):
+    opts = SolveOptions(scheme="jacobi", tolerance=tolerance)
+    full = cc.solve_drunk(g, k, opts)
+    q, C, stats = quotient_jacobi(g, k, opts)
+    lifted = lift_quotient(q, C)
+    assert stats.sweeps == full.stats.sweeps
+    if max(map(g.degree, range(g.n))) <= 2:  # a two-term smear sums alike in any order
+        assert np.array_equal(lifted, full.values.values) and stats == full.stats
+    else:
+        assert np.abs(lifted - full.values.values).max() <= 1e-12 * full.values.values.max()
+    means = full.values.config_means()
+    assert _drunk_start(g, k, opts)[1] == pytest.approx(means.min(), rel=1e-12)
 
 
 def loop_base_transition(g):

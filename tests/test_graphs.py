@@ -1,9 +1,11 @@
 import io
+import itertools
 
+import numpy as np
 import pytest
 
 import copchase as cc
-from copchase.graphs import GraphError
+from copchase.graphs import GraphError, _declared
 
 from conftest import complete_graph, random_connected_graph
 
@@ -194,7 +196,9 @@ def test_edge_list_round_trip(tmp_path):
     g = cc.barbell(5, 0.4)
     target = str(tmp_path / "g.edges")
     cc.write_edge_list(g, target)
-    assert cc.read_edge_list(target) == g
+    again = cc.read_edge_list(target)
+    assert again == g
+    assert len(g.symmetries) == 2 and len(again.symmetries) == 1  # files declare no group
 
 
 def test_edge_list_parser_rejections():
@@ -210,3 +214,61 @@ def test_edge_list_parser_rejections():
     ]:
         with pytest.raises(GraphError):
             cc.read_edge_list(io.StringIO(text))
+
+
+def automorphisms(g):
+    """Every automorphism of g, enumerated by networkx."""
+    nx = pytest.importorskip("networkx")
+    h = nx.Graph(g.edges())
+    h.add_nodes_from(range(g.n))
+    return {tuple(m[v] for v in range(g.n))
+            for m in nx.algorithms.isomorphism.GraphMatcher(h, h).isomorphisms_iter()}
+
+
+SYMMETRIC_FAMILIES = (
+    [(f"P{n}", cc.path(n), min(n, 2)) for n in (1, 2, 5, 6)]
+    + [(f"C{n}", cc.cycle(n), 2 * n) for n in (3, 4, 5, 8)]
+    + [(f"G{n}", cc.grid(n), 1 if n == 1 else 8) for n in (1, 2, 3, 4)]
+    + [(f"B{n},{c}", cc.barbell(n, c), 2) for n, c in [(2, 0), (4, 0.25), (4, 1.0), (5, 0.6)]]
+)
+
+
+@pytest.mark.parametrize("name,g,order", SYMMETRIC_FAMILIES,
+                         ids=[name for name, _, _ in SYMMETRIC_FAMILIES])
+def test_declared_group_is_a_subgroup_of_aut(name, g, order):
+    group = {tuple(s) for s in g.symmetries.tolist()}
+    assert len(group) == len(g.symmetries) == order
+    assert g.symmetries[0].tolist() == list(range(g.n))  # identity first
+    assert group <= automorphisms(g)
+    for s, t in itertools.product(group, repeat=2):  # closed under composition
+        assert tuple(s[v] for v in t) in group
+
+
+def test_other_graphs_declare_the_trivial_group():
+    for g in [cc.complete_tree(2, 2), cc.lollipop(6, 0.5), complete_graph(4),
+              cc.cartesian_product(cc.path(2), cc.path(3)), random_connected_graph(3, 6)]:
+        assert g.symmetries.tolist() == [list(range(g.n))]
+
+
+def test_declared_non_automorphism_is_rejected():
+    with pytest.raises(GraphError, match="not an automorphism"):
+        _declared(cc.path(4), lambda: [[1, 0, 2, 3]]).symmetries
+    with pytest.raises(GraphError, match="not a vertex permutation"):
+        _declared(cc.path(4), lambda: [[0, 0, 2, 3]]).symmetries
+    with pytest.raises(GraphError):
+        _declared(cc.path(4), lambda: [[0, 1, 2]]).symmetries
+
+
+def test_relabel_conjugates_the_group():
+    perm = [3, 0, 5, 1, 4, 2]
+    for g in [cc.cycle(6), cc.path(6), random_connected_graph(5, 6)]:
+        h = cc.relabel(g, perm)
+        expected = set()
+        for s in g.symmetries.tolist():  # perm[v] maps to perm[s[v]]
+            t = [0] * g.n
+            for v in range(g.n):
+                t[perm[v]] = perm[s[v]]
+            expected.add(tuple(t))
+        assert {tuple(t) for t in h.symmetries.tolist()} == expected
+        assert h.symmetries[0].tolist() == list(range(g.n))
+        assert {tuple(t) for t in h.symmetries.tolist()} <= automorphisms(h)

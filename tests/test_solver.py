@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import copchase as cc
-from copchase.solver import _StateSpace
+from copchase.solver import SweepStats, _drunk_start, _StateSpace
 
 from conftest import complete_graph, minimax_capture_value, random_connected_graph
 
@@ -145,6 +145,7 @@ def test_drunk_single_vertex():
 
 
 def test_solve_options_validation():
+    assert cc.SolveOptions().scheme == "jacobi"
     with pytest.raises(ValueError):
         cc.SolveOptions(scheme="sor")
     with pytest.raises(ValueError):
@@ -158,6 +159,20 @@ def test_state_cap_raises_before_allocation():
         cc.solve_drunk(cc.path(50), 3, state_cap=1000)
     with pytest.raises(cc.StateSpaceError):
         cc.solve_adversarial(cc.path(50), 3, state_cap=1000)
+
+
+def test_quotient_cap_counts_the_permuted_copies():
+    # Jacobi on a quotient holds C, its update and one smear copy per group
+    # element that a slot uses, 2 + E tables where the full space holds 3;
+    # the cap bounds them as it bounds the full space's
+    g = cc.grid(5)
+    space = _StateSpace(g, 2, math.inf, symmetric=True)
+    E = len(space.cols)
+    assert E > 1 and space.m * g.n * 3 < math.comb(26, 2) * g.n
+    fits = -(-space.m * g.n * (2 + E) // 3)
+    assert cc.drunk_capture_time(g, 2, state_cap=fits) == cc.drunk_capture_time(g, 2)
+    with pytest.raises(cc.StateSpaceError, match="group elements"):
+        cc.drunk_capture_time(g, 2, state_cap=fits - 1)
 
 
 def test_convergence_error_carries_residual():
@@ -178,7 +193,7 @@ def test_convergence_error_carries_residual():
     ids=["P9", "C8k2", "T22", "rand8", "rand6k2"],
 )
 def test_scheme_agreement(g, k):
-    opts = cc.SolveOptions(tolerance=1e-10)
+    opts = cc.SolveOptions(scheme="gauss-seidel", tolerance=1e-10)
     gs = cc.solve_drunk(g, k, opts)
     ja = cc.solve_drunk(g, k, cc.SolveOptions(scheme="jacobi", tolerance=1e-10))
     assert np.abs(gs.values.values - ja.values.values).max() <= 10 * opts.tolerance
@@ -225,6 +240,18 @@ def test_policy_value_reproduces_table():
         sol = cc.solve_drunk(g, k)
         pv = cc.policy_value(g, sol.policy)
         assert np.abs(pv.values - sol.values.values).max() <= 1e-8
+
+
+def test_policy_value_builds_no_successor_table(monkeypatch):
+    # policy_value reads the walk, the occupancy and the configurations only
+    sol = cc.solve_drunk(cc.cycle(6), 2)
+
+    def unbuilt(self):
+        raise AssertionError("successor table built")
+
+    monkeypatch.setattr(_StateSpace, "_successors", property(unbuilt))
+    pv = cc.policy_value(cc.cycle(6), sol.policy)
+    assert np.abs(pv.values - sol.values.values).max() <= 1e-8
 
 
 def test_extract_policy_matches_solution():
@@ -307,3 +334,22 @@ def test_optimal_start_reporting():
     drunk = cc.solve_drunk(cc.path(9), 1)
     start, mean = drunk.optimal_start()
     assert mean == pytest.approx(drunk.drunk_capture_time())
+
+
+def test_optimal_start_ignores_rounding_gaps():
+    # mirror-image starts of B(14, 1) tie exactly; the schemes round them
+    # apart in opposite directions
+    g = cc.barbell(14, 1.0)
+    for scheme in cc.solver.SCHEMES:
+        opts = cc.SolveOptions(scheme=scheme)
+        sol = cc.solve_drunk(g, 1, opts)
+        assert sol.optimal_start() == ((6,), sol.values.config_means().min())
+        assert _drunk_start(g, 1, opts)[0] == (6,)
+    # a gap of one ulp is a tie, a gap of 16 ulps is not
+    low = 3.0
+    stats = SweepStats(1, 0.0, 0.0, 0.0)
+    for gap, start in [(1, (0,)), (16, (1,))]:
+        values = np.array([[low, low], [low - gap * np.spacing(low)] * 2])
+        table = cc.ValueTable("drunk", 1, [(0,), (1,)], values)
+        sol = cc.DrunkSolution(table, None, stats, "jacobi")
+        assert sol.optimal_start() == (start, values[1, 0])
