@@ -64,8 +64,9 @@ def _add_output_args(p: argparse.ArgumentParser) -> None:
 
 def _add_solver_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scheme", choices=["jacobi", "gauss-seidel"], default="jacobi",
-                   help="drunk value-iteration scheme (default jacobi): jacobi solves "
-                        "dct, cod and sweep on the graph's symmetry quotient; "
+                   help="drunk value-iteration scheme (default jacobi), read by dct, "
+                        "cod, sweep and simulate --mode drunk; ct ignores it. jacobi "
+                        "solves dct, cod and sweep on the graph's symmetry quotient; "
                         "gauss-seidel updates rows in place on the full state space")
     p.add_argument("--tolerance", type=float, default=1e-10)
     p.add_argument("--max-sweeps", type=int, default=10**6)
@@ -240,9 +241,10 @@ def _cmd_sweep(args) -> int:
                 del adversarial  # free its tables before the drunk solve
                 _, dct, stats = _drunk_start(g, k, opts, cap)
                 row.update(k=k, ct=_fmt(ct, args.exact_digits),
-                           dct=_fmt(dct, args.exact_digits),
-                           F=_fmt(ct / dct, args.exact_digits) if dct > 0 else "inf",
-                           sweeps=stats.sweeps)
+                           dct=_fmt(dct, args.exact_digits), sweeps=stats.sweeps)
+                if not dct:  # k cops cover every vertex, so ct = 0 too
+                    raise ValueError("F = ct / dct is undefined: dct = 0")
+                row["F"] = _fmt(ct / dct, args.exact_digits)
             except Exception as exc:  # per-row failures recorded, run continues
                 row["error"] = str(exc)
             row["wall_time_s"] = f"{time.perf_counter() - t0:.3f}"
@@ -373,10 +375,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except NonterminatingStrategyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    except ConvergenceError as exc:
+    except (NonterminatingStrategyError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     except (StateSpaceError, CopNumberError) as exc:

@@ -116,6 +116,27 @@ def _assert_config_moves(g: Graph, configs, src_idx: np.ndarray, dst_idx: np.nda
         )
 
 
+def _pursue(caught: np.ndarray, max_rounds: int, master: int, cop_step, robber_step) -> SimReport:
+    """Play rounds 1, 2, ..., max_rounds of the trials not `caught` at
+    placement, and report their capture times; trials still running after
+    max_rounds are censored. Each round calls cop_step(t, alive) and then,
+    if any trial is left, robber_step(t, alive): a step moves the running
+    trials `alive` and returns a mask of the ones it caught."""
+    T = np.full(len(caught), -1, dtype=np.int64)
+    T[caught] = 0
+    alive = np.nonzero(~caught)[0]
+    t = 0
+    while alive.size and t < max_rounds:
+        t += 1
+        for step in (cop_step, robber_step):
+            caught = step(t, alive)
+            T[alive[caught]] = t
+            alive = alive[~caught]
+            if not alive.size:
+                break
+    return _report(T, master)
+
+
 def simulate_drunk_pursuit(
     g: Graph,
     policy: FeedbackPolicy | FixedStrategy,
@@ -137,12 +158,17 @@ def simulate_drunk_pursuit(
     if max_rounds is None:
         max_rounds = _round_cap(g, CENSOR_MULTIPLIER)
     n = g.n
-    if n == 1:
-        return _report(np.zeros(trials, dtype=np.int64), seed.master)
-
-    fixed = isinstance(policy, FixedStrategy)
-    if fixed:
+    if isinstance(policy, FixedStrategy):
         validate_strategy(g, policy)
+        occ = _occupancy(policy.configs[:1], n)[0]  # one row, rebuilt each round
+
+        def move_cops(t, alive, ya):
+            nonlocal occ
+            occ = _occupancy([policy.config_at(t)], n)[0]
+            return occ[ya]
+
+        def occupied_at(alive, vertices):
+            return occ[vertices]
     else:
         if start is None:
             raise SimulationError("feedback policies need an initial configuration")
@@ -152,29 +178,9 @@ def simulate_drunk_pursuit(
             start_idx = _config_rank(n, policy.k, start)
         except (KeyError, ValueError) as exc:
             raise SimulationError(f"unknown start configuration {start!r}") from exc
-
-    nbrs, deg = g._neighbor_table(closed=False)
-
-    y = seed.stream("placement", 0).integers(0, n, size=trials)
-    T = np.full(trials, -1, dtype=np.int64)
-
-    if fixed:
-        T[_occupancy(policy.configs[:1], n)[0, y]] = 0
-    else:
         cfg = np.full(trials, start_idx, dtype=np.int64)
-        T[occupied[start_idx, y]] = 0
 
-    alive = np.nonzero(T < 0)[0]
-    t = 0
-    while alive.size and t < max_rounds:
-        t += 1
-        u = seed.stream("robber", t).random(trials)[alive]
-        ya = y[alive]
-        # cop phase
-        if fixed:
-            occ_t = _occupancy([policy.config_at(t)], n)[0]
-            caught = occ_t[ya]
-        else:
+        def move_cops(t, alive, ya):
             nxt = succ_idx[cfg[alive], ya]
             if np.any(nxt < 0):
                 bad = alive[np.nonzero(nxt < 0)[0][0]]
@@ -183,24 +189,32 @@ def simulate_drunk_pursuit(
             if validate_moves:
                 _assert_config_moves(g, policy.configs, cfg[alive], nxt)
             cfg[alive] = nxt
-            caught = occupied[nxt, ya]
-        T[alive[caught]] = t
-        alive = alive[~caught]
-        if not alive.size:
-            break
-        # robber phase
+            return occupied[nxt, ya]
+
+        def occupied_at(alive, vertices):
+            return occupied[cfg[alive], vertices]
+
+    nbrs, deg = g._neighbor_table(closed=False)
+    y = seed.stream("placement", 0).integers(0, n, size=trials)
+    u = np.empty(trials)
+    stepped = None  # outlives each call, or malloc trims and refaults the heap every round
+
+    def cop_step(t, alive):
+        # the round's full draw, whichever trials still run: the stream contract
+        seed.stream("robber", t).random(out=u)
+        return move_cops(t, alive, y[alive])
+
+    def robber_step(t, alive):
+        nonlocal stepped
         ya = y[alive]
-        stepped = nbrs[ya, (u[~caught] * deg[ya]).astype(np.int64)]
+        stepped = nbrs[ya, (u[alive] * deg[ya]).astype(np.int64)]
         if validate_moves:
             _assert_robber_steps(g, ya, stepped)
         y[alive] = stepped
-        if fixed:
-            caught = occ_t[stepped]
-        else:
-            caught = occupied[cfg[alive], stepped]
-        T[alive[caught]] = t
-        alive = alive[~caught]
-    return _report(T, seed.master)
+        return occupied_at(alive, stepped)
+
+    return _pursue(occupied_at(np.arange(trials), y), max_rounds, seed.master,
+                   cop_step, robber_step)
 
 
 def simulate_random_cops(
@@ -229,8 +243,6 @@ def simulate_random_cops(
     if max_rounds is None:
         max_rounds = _round_cap(g, CENSOR_MULTIPLIER)
     n = g.n
-    if n == 1:
-        return _report(np.zeros(trials, dtype=np.int64), seed.master)
 
     nbrs, deg = g._neighbor_table(closed=True)
 
@@ -258,20 +270,16 @@ def simulate_random_cops(
         # the vertex farthest from the nearest starting cop, per trial
         y = nearest_cop_dist(np.arange(n)[:, None], cops[None]).argmax(axis=0)
 
-    T = np.full(trials, -1, dtype=np.int64)
-    T[(cops == y[:, None]).any(axis=1)] = 0
-    alive = np.nonzero(T < 0)[0]
-    t = 0
-    while alive.size and t < max_rounds:
-        t += 1
+    moved = None  # outlives each call, as `stepped` does in simulate_drunk_pursuit
+
+    def cop_step(t, alive):
+        nonlocal moved
         ucops = seed.stream("cops", t).random((trials, k))[alive]
         moved = nbrs[cops[alive], (ucops * deg[cops[alive]]).astype(np.int64)]
         cops[alive] = moved
-        caught = (moved == y[alive, None]).any(axis=1)
-        T[alive[caught]] = t
-        alive = alive[~caught]
-        if not alive.size:
-            break
+        return (moved == y[alive, None]).any(axis=1)
+
+    def robber_step(t, alive):
         ya = y[alive]
         if evader == "uniform-random":
             u = seed.stream("evader", t).random(trials)[alive]
@@ -281,10 +289,10 @@ def simulate_random_cops(
             dist = nearest_cop_dist(cand, cops[alive][:, None, :])
             stepped = cand[np.arange(len(ya)), dist.argmax(axis=1)]
         y[alive] = stepped
-        caught = (cops[alive] == stepped[:, None]).any(axis=1)
-        T[alive[caught]] = t
-        alive = alive[~caught]
-    return _report(T, seed.master)
+        return (cops[alive] == stepped[:, None]).any(axis=1)
+
+    return _pursue((cops == y[:, None]).any(axis=1), max_rounds, seed.master,
+                   cop_step, robber_step)
 
 
 # Steps drawn per random block (this fixes the stream of each trial) and

@@ -603,32 +603,43 @@ def _smeared(space: _StateSpace, C: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _drunk_jacobi(space: _StateSpace, opts: SolveOptions):
-    """Jacobi sweeps from C = 0 over the rows of `space`. Each sweep smears
-    the table into stack[0] and copies it once per other group element e
-    that a slot uses, with its columns permuted by cols[e], so that every
-    slot e * m + r stays a plain row gather of the stack. Under the trivial
-    group the stack is the smear alone."""
+    """`_jacobi` with the successor min. Each sweep smears the table into
+    stack[0] and copies it once per other group element e that a slot uses,
+    with its columns permuted by cols[e], so that every slot e * m + r stays
+    a plain row gather of the stack. Under the trivial group the stack is
+    the smear alone."""
     cols = space.cols
-    C = np.zeros((space.m, space.n))
-    C_new = np.empty_like(C)
     stack = np.empty((len(cols), space.m, space.n))
-    min_increment = math.inf
-    for sweep in range(1, opts.max_sweeps + 1):
+
+    def successor_min(C, out):
         _smeared(space, C, stack[0])
         for e in range(1, len(cols)):
             # mode="clip": with the default "raise", take fills `out` through a buffer
             np.take(stack[0], cols[e], axis=1, out=stack[e], mode="clip")
-        _gathered_min(space.succ_padded, stack.reshape(-1, space.n), C_new)
+        _gathered_min(space.succ_padded, stack.reshape(-1, space.n), out)
+
+    return _jacobi(space, successor_min, opts.tolerance, opts.max_sweeps)
+
+
+def _jacobi(space: _StateSpace, reduce, tolerance: float, max_sweeps: int):
+    """Jacobi sweeps C <- 1 + reduce(C), zero on occupied states, from C = 0
+    over the rows of `space`, until no entry moves by `tolerance`: the table
+    and its SweepStats. `reduce(C, out)` writes into out, per state, the
+    successor reduction of the smeared table."""
+    C = np.zeros((space.m, space.n))
+    C_new = np.empty_like(C)
+    min_increment = math.inf
+    for sweep in range(1, max_sweeps + 1):
+        reduce(C, C_new)
         C_new += 1.0
         C_new[space.occupied] = 0.0
         diff = C_new - C
         delta = float(np.abs(diff).max())
         min_increment = min(min_increment, float(diff.min()))
         C, C_new = C_new, C
-        if delta < opts.tolerance:
-            stats = SweepStats(sweep, delta, min_increment, float(C.max()))
-            return C, stats
-    raise ConvergenceError(opts.max_sweeps, delta, opts.tolerance)
+        if delta < tolerance:
+            return C, SweepStats(sweep, delta, min_increment, float(C.max()))
+    raise ConvergenceError(max_sweeps, delta, tolerance)
 
 
 # Levels with fewer rows than this run one row at a time: a block of one or
@@ -759,8 +770,8 @@ def policy_value(
     max_sweeps: int = 10**6,
 ) -> ValueTable:
     """Expected capture times induced by a fixed feedback policy on the
-    cop-modified robber chains: Jacobi sweeps of V[x, y] = 1 + (smeared
-    V)[policy(x, y), y] from V = 0, zero on occupied states."""
+    cop-modified robber chains: `_jacobi` with the policy's gather,
+    V[x, y] = 1 + (smeared V)[policy(x, y), y]."""
     idx = policy.successor_idx
     if np.any(idx < 0):
         raise ValueError("policy is undefined on some states")
@@ -768,18 +779,13 @@ def policy_value(
     if idx.shape != (space.m, space.n):
         raise ValueError("policy does not match the graph's configuration space")
     cols = np.arange(space.n)
-    V = np.zeros((space.m, space.n))
-    W = np.empty_like(V)
-    for sweep in range(1, max_sweeps + 1):
-        _smeared(space, V, W)
-        V_new = W[idx, cols]
-        V_new += 1.0
-        V_new[space.occupied] = 0.0
-        delta = float(np.abs(V_new - V).max())
-        V = V_new
-        if delta < tolerance:
-            return ValueTable("drunk", policy.k, space.configs, V)
-    raise ConvergenceError(max_sweeps, delta, tolerance)
+    W = np.empty((space.m, space.n))
+
+    def policy_gather(V, out):
+        out[...] = _smeared(space, V, W)[idx, cols]
+
+    V, _ = _jacobi(space, policy_gather, tolerance, max_sweeps)
+    return ValueTable("drunk", policy.k, space.configs, V)
 
 
 def cop_number(

@@ -140,6 +140,30 @@ def test_sweep_records_row_errors(capsys):
     assert rows[2][-1] == ""   # n=5 computed fine
 
 
+@pytest.mark.parametrize("argv,row", [
+    # one vertex: the cop number is 1, and one cop starts on the robber
+    (["--n", "1"], ["path", "1", "", "1", "0", "0", "", "0"]),
+    # three cops cover P3: ct and dct are both 0
+    (["--n", "3", "--k", "3"], ["path", "3", "", "3", "0", "0", "", "2"]),
+])
+def test_sweep_leaves_f_empty_when_dct_is_zero(capsys, argv, row):
+    code, out, _ = run_cli(capsys, "sweep", "--family", "path", *argv)
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert len(rows) == 2
+    assert rows[1][:8] == row
+    assert rows[1][9] == "F = ct / dct is undefined: dct = 0"
+
+
+def test_sweep_prints_infinite_f_on_robber_wins(capsys):
+    # one cop never catches the adversarial robber on C4 (ct = inf), but dct = 1
+    code, out, _ = run_cli(capsys, "sweep", "--family", "cycle", "--n", "4", "--k", "1")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[1][:7] == ["cycle", "4", "", "1", "inf", "1", "inf"]
+    assert rows[1][9] == ""
+
+
 def test_simulate_json(capsys, schema):
     code, out, _ = run_cli(capsys, "simulate", "--family", "path", "--n", "3",
                            "--mode", "drunk", "--k", "1", "--trials", "5000",

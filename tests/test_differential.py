@@ -1,9 +1,10 @@
 """Differential tests on seeded random small graphs: the solver's policy
 evaluator and the fixed-strategy capture distribution against the dense
-cop-modified-chain reference, wavefront Gauss-Seidel against the row-by-row
-loop, the retrograde adversarial solve against the fixpoint sweep loop,
-both drunk schemes and the symmetry quotient against exact values and
-against each other, and configuration ranking against enumeration."""
+cop-modified-chain reference, the policy evaluator against its own former
+loop, wavefront Gauss-Seidel against the row-by-row loop, the retrograde
+adversarial solve against the fixpoint sweep loop, both drunk schemes and
+the symmetry quotient against exact values and against each other, and
+configuration ranking against enumeration."""
 
 import itertools
 import math
@@ -290,6 +291,36 @@ def test_drunk_solvers_match_exact_values(instance):
               q.configs[_near_min(C.mean(axis=1))],
               _drunk_start(g, k, opts["jacobi"])[0], _drunk_start(g, k, opts["gauss-seidel"])[0]}
     assert starts <= best
+
+
+def own_loop_policy_value(g, policy, tolerance=1e-12, max_sweeps=10**6):
+    """`policy_value` as its own Jacobi loop, before it shared the drunk
+    solve's: the table it must equal bit for bit."""
+    idx = policy.successor_idx
+    space = _StateSpace(g, policy.k, math.inf)
+    cols = np.arange(space.n)
+    V = np.zeros((space.m, space.n))
+    W = np.empty_like(V)
+    for _ in range(max_sweeps):
+        solver._smeared(space, V, W)
+        V_new = W[idx, cols]
+        V_new += 1.0
+        V_new[space.occupied] = 0.0
+        delta = float(np.abs(V_new - V).max())
+        V = V_new
+        if delta < tolerance:
+            return V
+    raise AssertionError("reference evaluation did not converge")
+
+
+@SETTINGS
+@given(exact_instances())
+def test_policy_value_matches_its_own_loop(instance):
+    g, k = instance
+    for scheme in solver.SCHEMES:
+        policy = cc.solve_drunk(g, k, SolveOptions(scheme=scheme)).policy
+        assert np.array_equal(cc.policy_value(g, policy).values,
+                              own_loop_policy_value(g, policy))
 
 
 def test_exact_oracle_closed_forms():

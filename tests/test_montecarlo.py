@@ -264,6 +264,96 @@ def test_reports_are_pinned():
         assert report.to_json() == PINNED_REPORTS[name], name
 
 
+# Reports the four above miss, recorded like them: censoring at 0 and 1
+# rounds, move validation, a strategy that ends before the capture horizon,
+# stacked cops, and one vertex, where placement catches every trial.
+MORE_PINNED_REPORTS = {
+    "drunk-feedback-max-rounds-0":
+        '{"trials": 400, "mean": 0.0, "stderr": 0.0, "max": 0, "censored": 359, "histogram": [41], '
+        '"seed": 21, "rng": "philox4x64"}',
+    "drunk-feedback-max-rounds-1":
+        '{"trials": 400, "mean": 0.8682634730538922, "stderr": 0.01853347060794689, "max": 1, '
+        '"censored": 66, "histogram": [44, 290], "seed": 22, "rng": "philox4x64"}',
+    "drunk-fixed-max-rounds-0":
+        '{"trials": 400, "mean": 0.0, "stderr": 0.0, "max": 0, "censored": 359, "histogram": [41], '
+        '"seed": 23, "rng": "philox4x64"}',
+    "drunk-fixed-max-rounds-1":
+        '{"trials": 400, "mean": 0.6928104575163399, "stderr": 0.037418694971506634, "max": 1, '
+        '"censored": 247, "histogram": [47, 106], "seed": 24, "rng": "philox4x64"}',
+    "random-cops-max-rounds-0":
+        '{"trials": 400, "mean": 0.0, "stderr": 0.0, "max": 0, "censored": 316, "histogram": [84], '
+        '"seed": 25, "rng": "philox4x64"}',
+    "random-cops-max-rounds-1":
+        '{"trials": 400, "mean": 0.4953271028037383, "stderr": 0.04856217217482834, "max": 1, '
+        '"censored": 293, "histogram": [54, 53], "seed": 26, "rng": "philox4x64"}',
+    "drunk-feedback-validated":
+        '{"trials": 400, "mean": 1.125, "stderr": 0.04080563993649121, "max": 5, "censored": 0, '
+        '"histogram": [45, 303, 27, 12, 8, 5], "seed": 27, "rng": "philox4x64"}',
+    "drunk-fixed-validated":
+        '{"trials": 400, "mean": 4.0027932960893855, "stderr": 0.25754041942822303, "max": 20, '
+        '"censored": 42, "histogram": [46, 117, 48, 23, 31, 8, 10, 5, 10, 10, 6, 4, 9, 5, 3, 4, 5, '
+        '1, 5, 4, 4], "seed": 28, "rng": "philox4x64"}',
+    "drunk-fixed-short":
+        '{"trials": 400, "mean": 3.84, "stderr": 0.2326398574151587, "max": 36, "censored": 0, '
+        '"histogram": [42, 119, 52, 42, 33, 22, 17, 22, 8, 8, 6, 3, 2, 4, 3, 4, 2, 2, 1, 0, 1, 0, '
+        '3, 0, 0, 2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1], "seed": 29, "rng": "philox4x64"}',
+    "random-cops-greedy-stacked":
+        '{"trials": 400, "mean": 16.957377049180327, "stderr": 0.6028087649077482, "max": 40, '
+        '"censored": 95, "histogram": [0, 0, 9, 8, 15, 15, 9, 15, 13, 11, 13, 14, 6, 13, 6, 9, 9, '
+        '10, 5, 9, 6, 11, 9, 3, 4, 9, 5, 5, 10, 4, 4, 8, 6, 7, 2, 5, 4, 6, 2, 2, 4], "seed": 30, '
+        '"rng": "philox4x64"}',
+    "random-cops-greedy-max-rounds-2":
+        '{"trials": 400, "mean": 1.9333333333333333, "stderr": 0.06666666666666667, "max": 2, '
+        '"censored": 385, "histogram": [0, 1, 14], "seed": 31, "rng": "philox4x64"}',
+    "one-vertex-feedback":
+        '{"trials": 50, "mean": 0.0, "stderr": 0.0, "max": 0, "censored": 0, "histogram": [50], '
+        '"seed": 1, "rng": "philox4x64"}',
+    "one-vertex-fixed":
+        '{"trials": 50, "mean": 0.0, "stderr": 0.0, "max": 0, "censored": 0, "histogram": [50], '
+        '"seed": 1, "rng": "philox4x64"}',
+    "one-vertex-greedy":
+        '{"trials": 50, "mean": 0.0, "stderr": 0.0, "max": 0, "censored": 0, "histogram": [50], '
+        '"seed": 1, "rng": "philox4x64"}',
+    "one-vertex-uniform":
+        '{"trials": 50, "mean": 0.0, "stderr": 0.0, "max": 0, "censored": 0, "histogram": [50], '
+        '"seed": 1, "rng": "philox4x64"}',
+}
+
+
+def test_more_reports_are_pinned():
+    g = random_connected_graph(77, 9, 0.3)
+    solution = cc.solve_drunk(g, 1)
+    policy, start = solution.policy, solution.optimal_start()[0]
+    strategy = cc.FixedStrategy([(0,), (1,), (2,), (7,), (8,)])
+    short = cc.FixedStrategy([(4,), (g.adjacency[4][0],)])  # held from round 1 on
+    one = cc.path(1)
+    drunk, cops = cc.simulate_drunk_pursuit, cc.simulate_random_cops
+    reports = {
+        "drunk-feedback-max-rounds-0": drunk(g, policy, 400, 21, start=start, max_rounds=0),
+        "drunk-feedback-max-rounds-1": drunk(g, policy, 400, 22, start=start, max_rounds=1),
+        "drunk-fixed-max-rounds-0": drunk(g, strategy, 400, 23, max_rounds=0),
+        "drunk-fixed-max-rounds-1": drunk(g, strategy, 400, 24, max_rounds=1),
+        "random-cops-max-rounds-0": cops(g, 2, "uniform-random", 400, 25, max_rounds=0),
+        "random-cops-max-rounds-1": cops(g, 1, "uniform-random", 400, 26, max_rounds=1),
+        "drunk-feedback-validated": drunk(g, policy, 400, 27, start=start,
+                                          validate_moves=True),
+        "drunk-fixed-validated": drunk(g, strategy, 400, 28, max_rounds=20,
+                                       validate_moves=True),
+        "drunk-fixed-short": drunk(g, short, 400, 29),
+        "random-cops-greedy-stacked": cops(g, 2, "max-distance-greedy", 400, 30,
+                                           max_rounds=40, start=(5, 5)),
+        "random-cops-greedy-max-rounds-2": cops(g, 2, "max-distance-greedy", 400, 31,
+                                                max_rounds=2),
+        "one-vertex-feedback": drunk(one, cc.solve_drunk(one, 1).policy, 50, 1, start=(0,)),
+        "one-vertex-fixed": drunk(one, cc.FixedStrategy([(0,)]), 50, 1),
+        "one-vertex-greedy": cops(one, 2, "max-distance-greedy", 50, 1),
+        "one-vertex-uniform": cops(one, 1, "uniform-random", 50, 1),
+    }
+    assert reports.keys() == MORE_PINNED_REPORTS.keys()
+    for name, report in reports.items():
+        assert report.to_json() == MORE_PINNED_REPORTS[name], name
+
+
 def test_uniform_evader_needs_no_distances(monkeypatch):
     # only the greedy evader reads distances; the all-pairs BFS is its cost
     def no_distances(g):
@@ -347,3 +437,18 @@ def test_single_vertex_simulations():
     assert rep.mean == 0.0
     rep2 = cc.simulate_random_cops(g, 1, "uniform-random", 50, seed=1)
     assert rep2.mean == 0.0
+
+
+def test_single_vertex_simulations_check_their_input():
+    # placement catches every trial on one vertex, but the input is still
+    # checked as on any other graph
+    g = cc.path(1)
+    with pytest.raises(cc.StrategyError):
+        cc.simulate_drunk_pursuit(g, cc.FixedStrategy([(1,)]), 10, seed=0)
+    policy = cc.solve_drunk(g, 1).policy
+    with pytest.raises(cc.SimulationError, match="initial configuration"):
+        cc.simulate_drunk_pursuit(g, policy, 10, seed=0)
+    with pytest.raises(cc.SimulationError, match="unknown start"):
+        cc.simulate_drunk_pursuit(g, policy, 10, seed=0, start=(1,))
+    with pytest.raises(cc.SimulationError, match="does not place"):
+        cc.simulate_random_cops(g, 2, "uniform-random", 10, seed=0, start=(0,))
