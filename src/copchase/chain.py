@@ -258,14 +258,13 @@ def fixed_strategy_capture_distribution(
     `max_rounds` rounds in total.
     """
     validate_strategy(g, strategy)
-    if g.n == 1:
-        return CaptureDistribution(masses=[1.0], residual=0.0, terminated=True)
     if max_rounds is None:
         max_rounds = default_round_cap(g)
     n = g.n
     table, deg = g._neighbor_table(closed=False)
-    # probability of each table entry, 0 on the pads
-    step = (np.arange(table.shape[1]) < deg[:, None]) * (1.0 / deg)[:, None]
+    # probability of each table entry, 0 on the pads; on one vertex the table
+    # is empty, and placement captures all the mass
+    step = (np.arange(table.shape[1]) < deg[:, None]) / np.maximum(deg, 1)[:, None]
     pi = np.full(n, 1.0 / n)  # uncaptured robber mass on each vertex
     masses = [_capture(pi, strategy.configs[0])]
     captured = masses[0]

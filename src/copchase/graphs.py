@@ -287,6 +287,20 @@ def _clique_size(n: int, c: float) -> int:
     return m
 
 
+def _path_with_cliques(family: str, n: int, c: float, ends: tuple[int, ...]) -> tuple[Graph, int]:
+    """Path on n vertices with a clique of floor(c*n) vertices at each path
+    vertex in `ends`, and each clique's vertex count off the path. The
+    cliques' extra vertices follow the path, one clique after another."""
+    if n < 2:
+        raise GraphError(f"{family} requires n >= 2, got {n}")
+    extra = max(_clique_size(n, c) - 1, 0)
+    edges = [(i - 1, i) for i in range(1, n)]
+    for j, end in enumerate(ends):
+        members = [end, *range(n + j * extra, n + (j + 1) * extra)]
+        edges.extend((u, v) for i, u in enumerate(members) for v in members[i + 1:])
+    return Graph(n + len(ends) * extra, edges), extra
+
+
 def barbell(n: int, c: float) -> Graph:
     """Path on n vertices with a clique of floor(c*n) vertices attached at
     each end; the path endpoints are members of their cliques.
@@ -295,38 +309,18 @@ def barbell(n: int, c: float) -> Graph:
     vertices (sharing endpoint 0), then the second clique's (sharing n-1).
     c == 0 degenerates to the bare path.
     """
-    if n < 2:
-        raise GraphError(f"barbell requires n >= 2, got {n}")
-    m = _clique_size(n, c)
-    edges = [(i - 1, i) for i in range(1, n)]
-    first = [0] + list(range(n, n + m - 1)) if m >= 1 else []
-    second = [n - 1] + list(range(n + m - 1, n + 2 * (m - 1))) if m >= 1 else []
-    for members in (first, second):
-        for i, u in enumerate(members):
-            for v in members[i + 1:]:
-                edges.append((u, v))
-    extra = max(m - 1, 0)  # each clique's vertices off the path
-    total = n + 2 * extra
+    g, extra = _path_with_cliques("barbell", n, c, (0, n - 1))
 
     def mirror():  # reverse the path and swap the cliques' extra vertices
-        return [*range(n - 1, -1, -1), *range(n + extra, total), *range(n, n + extra)]
+        return [*range(n - 1, -1, -1), *range(n + extra, g.n), *range(n, n + extra)]
 
-    return _declared(Graph(total, edges), mirror)
+    return _declared(g, mirror)
 
 
 def lollipop(n: int, c: float) -> Graph:
     """Path on n vertices with a clique of floor(c*n) vertices sharing
     endpoint 0. c == 0 degenerates to the bare path."""
-    if n < 2:
-        raise GraphError(f"lollipop requires n >= 2, got {n}")
-    m = _clique_size(n, c)
-    edges = [(i - 1, i) for i in range(1, n)]
-    members = [0] + list(range(n, n + m - 1)) if m >= 1 else []
-    for i, u in enumerate(members):
-        for v in members[i + 1:]:
-            edges.append((u, v))
-    total = n + m - 1 if m >= 1 else n
-    return Graph(total, edges)
+    return _path_with_cliques("lollipop", n, c, (0,))[0]
 
 
 FAMILY_TAGS = ("path", "cycle", "complete-tree", "grid", "barbell", "lollipop", "custom")

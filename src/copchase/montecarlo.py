@@ -102,18 +102,16 @@ def _report(T: np.ndarray, seed: int) -> SimReport:
     )
 
 
-def _assert_robber_steps(g: Graph, before: np.ndarray, after: np.ndarray) -> None:
-    pairs = {(int(a), int(b)) for a, b in zip(before, after)}
-    for a, b in pairs:
-        assert b in g.adjacency[a], f"robber stepped {a} -> {b} outside N({a})"
+def _check_robber_steps(g: Graph, before: np.ndarray, after: np.ndarray) -> None:
+    for a, b in {(int(a), int(b)) for a, b in zip(before, after)}:
+        if b not in g.adjacency[a]:
+            raise SimulationError(f"robber stepped {a} -> {b} outside N({a})")
 
 
-def _assert_config_moves(g: Graph, configs, src_idx: np.ndarray, dst_idx: np.ndarray) -> None:
-    pairs = {(int(a), int(b)) for a, b in zip(src_idx, dst_idx)}
-    for a, b in pairs:
-        assert _cops_can_move(g, configs[a], configs[b]), (
-            f"illegal cop move {configs[a]} -> {configs[b]}"
-        )
+def _check_config_moves(g: Graph, configs, src_idx: np.ndarray, dst_idx: np.ndarray) -> None:
+    for a, b in {(int(a), int(b)) for a, b in zip(src_idx, dst_idx)}:
+        if not _cops_can_move(g, configs[a], configs[b]):
+            raise SimulationError(f"illegal cop move {configs[a]} -> {configs[b]}")
 
 
 def _pursue(caught: np.ndarray, max_rounds: int, master: int, cop_step, robber_step) -> SimReport:
@@ -150,7 +148,8 @@ def simulate_drunk_pursuit(
 
     Each trial places the robber uniformly (capture at T=0 when colocated),
     then alternates cop move / capture check / robber random step / capture
-    check. Trials still running at `max_rounds` are censored.
+    check. Trials still running at `max_rounds` are censored. With
+    `validate_moves`, an illegal cop or robber move raises SimulationError.
     """
     if trials < 1:
         raise SimulationError("trials must be >= 1")
@@ -187,7 +186,7 @@ def simulate_drunk_pursuit(
                 state = (policy.configs[cfg[bad]], int(y[bad]))
                 raise SimulationError(f"policy undefined at state {state}")
             if validate_moves:
-                _assert_config_moves(g, policy.configs, cfg[alive], nxt)
+                _check_config_moves(g, policy.configs, cfg[alive], nxt)
             cfg[alive] = nxt
             return occupied[nxt, ya]
 
@@ -209,7 +208,7 @@ def simulate_drunk_pursuit(
         ya = y[alive]
         stepped = nbrs[ya, (u[alive] * deg[ya]).astype(np.int64)]
         if validate_moves:
-            _assert_robber_steps(g, ya, stepped)
+            _check_robber_steps(g, ya, stepped)
         y[alive] = stepped
         return occupied_at(alive, stepped)
 

@@ -18,7 +18,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .chain import as_config, base_transition
+from .chain import as_config
 from .graphs import Graph, _padded_flat
 
 INFINITE = math.inf
@@ -201,8 +201,13 @@ class _StateSpace:
 
     @functools.cached_property
     def walk(self) -> np.ndarray:
-        """Cop-free robber walk matrix (n x n, rows uniform over N(v))."""
-        return np.ascontiguousarray(base_transition(self.g)[: self.n, : self.n])
+        """Cop-free robber walk matrix (n x n, rows uniform over N(v)). On one
+        vertex the robber has no step and it is the 1 x 1 zero; every state
+        is occupied there."""
+        table, deg = self.g._neighbor_table(closed=False)
+        walk = np.zeros((self.n, self.n))
+        walk[np.arange(self.n)[:, None], table] = (1.0 / np.maximum(deg, 1))[:, None]
+        return walk
 
     @functools.cached_property
     def levels(self) -> list[np.ndarray]:
@@ -545,18 +550,6 @@ def capture_time(g: Graph, k: int, state_cap: int = DEFAULT_STATE_CAP) -> float:
     return solve_adversarial(g, k, state_cap).capture_time()
 
 
-def _trivial_drunk_solution(k: int, scheme: str) -> DrunkSolution:
-    configs = [(0,) * k]
-    values = np.zeros((1, 1))
-    policy = np.zeros((1, 1), dtype=np.int64)
-    return DrunkSolution(
-        values=ValueTable("drunk", k, configs, values),
-        policy=FeedbackPolicy(k, configs, policy),
-        stats=SweepStats(sweeps=0, final_delta=0.0, min_increment=0.0, max_value=0.0),
-        scheme=scheme,
-    )
-
-
 def solve_drunk(
     g: Graph,
     k: int,
@@ -573,20 +566,26 @@ def solve_drunk(
     """
     if opts is None:
         opts = SolveOptions()
-    if g.n == 1:
-        return _trivial_drunk_solution(k, opts.scheme)
-    space = _StateSpace(g, k, state_cap)
-    if opts.scheme == "jacobi":
-        C, stats = _drunk_jacobi(space, opts)
-    else:
-        C, stats = _drunk_gauss_seidel(space, opts)
-    policy = _drunk_policy(space, C)
+    space, C, stats = _drunk_table(g, k, opts, state_cap)
     return DrunkSolution(
         values=ValueTable("drunk", k, space.configs, C),
-        policy=FeedbackPolicy(k, space.configs, policy),
+        policy=FeedbackPolicy(k, space.configs, _drunk_policy(space, C)),
         stats=stats,
         scheme=opts.scheme,
     )
+
+
+def _drunk_table(g: Graph, k: int, opts: SolveOptions, state_cap: float, symmetric: bool = False):
+    """The state space, drunk table and SweepStats of every drunk solve, by
+    `opts.scheme`. With `symmetric`, Jacobi runs on the quotient by the
+    graph's declared group (see `_StateSpace`); Gauss-Seidel always runs on
+    the full space. On one vertex the cops start on the robber: the table is
+    the 1 x 1 zero, and no sweep runs."""
+    space = _StateSpace(g, k, state_cap, symmetric and opts.scheme == "jacobi")
+    if g.n == 1:
+        return space, np.zeros((1, 1)), SweepStats(0, 0.0, 0.0, 0.0)
+    solve = _drunk_jacobi if opts.scheme == "jacobi" else _drunk_gauss_seidel
+    return (space, *solve(space, opts))
 
 
 def _smeared(space: _StateSpace, C: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -618,18 +617,18 @@ def _drunk_jacobi(space: _StateSpace, opts: SolveOptions):
             np.take(stack[0], cols[e], axis=1, out=stack[e], mode="clip")
         _gathered_min(space.succ_padded, stack.reshape(-1, space.n), out)
 
-    return _jacobi(space, successor_min, opts.tolerance, opts.max_sweeps)
+    return _jacobi(space, successor_min, opts)
 
 
-def _jacobi(space: _StateSpace, reduce, tolerance: float, max_sweeps: int):
+def _jacobi(space: _StateSpace, reduce, opts: SolveOptions):
     """Jacobi sweeps C <- 1 + reduce(C), zero on occupied states, from C = 0
-    over the rows of `space`, until no entry moves by `tolerance`: the table
-    and its SweepStats. `reduce(C, out)` writes into out, per state, the
-    successor reduction of the smeared table."""
+    over the rows of `space`, until no entry moves by `opts.tolerance`: the
+    table and its SweepStats. `reduce(C, out)` writes into out, per state,
+    the successor reduction of the smeared table."""
     C = np.zeros((space.m, space.n))
     C_new = np.empty_like(C)
     min_increment = math.inf
-    for sweep in range(1, max_sweeps + 1):
+    for sweep in range(1, opts.max_sweeps + 1):
         reduce(C, C_new)
         C_new += 1.0
         C_new[space.occupied] = 0.0
@@ -637,9 +636,9 @@ def _jacobi(space: _StateSpace, reduce, tolerance: float, max_sweeps: int):
         delta = float(np.abs(diff).max())
         min_increment = min(min_increment, float(diff.min()))
         C, C_new = C_new, C
-        if delta < tolerance:
+        if delta < opts.tolerance:
             return C, SweepStats(sweep, delta, min_increment, float(C.max()))
-    raise ConvergenceError(max_sweeps, delta, tolerance)
+    raise ConvergenceError(opts.max_sweeps, delta, opts.tolerance)
 
 
 # Levels with fewer rows than this run one row at a time: a block of one or
@@ -723,11 +722,9 @@ def _drunk_start(
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> tuple[tuple[int, ...], float, SweepStats]:
     """The optimal start and drunk capture time of `solve_drunk`, and its
-    sweep stats, without the tables.
-
-    Jacobi runs on the quotient by the graph's declared group (under the
-    trivial group, the full space), whose cap counts orbit rows and the
-    table copies they need (see `_StateSpace`).
+    sweep stats, without the policy: `_drunk_table` with `symmetric`, so
+    Jacobi runs on the quotient by the graph's declared group, whose cap
+    counts orbit rows and the table copies they need (see `_StateSpace`).
     The start is the first member of the first orbit whose mean is within
     `_near_min` of the least. On graphs of maximum degree 2 (paths, cycles)
     the quotient rows equal the full table's bit for bit; elsewhere they
@@ -735,11 +732,7 @@ def _drunk_start(
     """
     if opts is None:
         opts = SolveOptions()
-    if opts.scheme == "gauss-seidel" or g.n == 1:
-        solution = solve_drunk(g, k, opts, state_cap)
-        return (*solution.optimal_start(), solution.stats)
-    space = _StateSpace(g, k, state_cap, symmetric=True)
-    C, stats = _drunk_jacobi(space, opts)
+    space, C, stats = _drunk_table(g, k, opts, state_cap, symmetric=True)
     means = C.mean(axis=1)
     return space.configs[_near_min(means)], float(means.min()), stats
 
@@ -771,7 +764,9 @@ def policy_value(
 ) -> ValueTable:
     """Expected capture times induced by a fixed feedback policy on the
     cop-modified robber chains: `_jacobi` with the policy's gather,
-    V[x, y] = 1 + (smeared V)[policy(x, y), y]."""
+    V[x, y] = 1 + (smeared V)[policy(x, y), y]. `tolerance` and
+    `max_sweeps` take the values `SolveOptions` takes."""
+    opts = SolveOptions(tolerance=tolerance, max_sweeps=max_sweeps)
     idx = policy.successor_idx
     if np.any(idx < 0):
         raise ValueError("policy is undefined on some states")
@@ -784,7 +779,7 @@ def policy_value(
     def policy_gather(V, out):
         out[...] = _smeared(space, V, W)[idx, cols]
 
-    V, _ = _jacobi(space, policy_gather, tolerance, max_sweeps)
+    V, _ = _jacobi(space, policy_gather, opts)
     return ValueTable("drunk", policy.k, space.configs, V)
 
 

@@ -155,6 +155,23 @@ def test_sweep_leaves_f_empty_when_dct_is_zero(capsys, argv, row):
     assert rows[1][9] == "F = ct / dct is undefined: dct = 0"
 
 
+@pytest.mark.parametrize("scheme", ["jacobi", "gauss-seidel"])
+def test_dct_on_one_vertex_runs_no_sweep(capsys, schema, scheme):
+    code, out, _ = run_cli(capsys, "dct", "--family", "path", "--n", "1", "--k", "2",
+                           "--scheme", scheme, "--json")
+    assert code == 0
+    payload = check_json(schema, out)
+    assert payload["value"] == 0 and payload["sweeps"] == 0 and payload["scheme"] == scheme
+
+
+@pytest.mark.parametrize("argv", [["dct"], ["simulate", "--mode", "drunk", "--trials", "3"]])
+def test_zero_cops_on_one_vertex_exit_2(capsys, argv):
+    # a one-vertex solve builds its state space, which checks the cop count
+    code, _, err = run_cli(capsys, *argv, "--family", "path", "--n", "1", "--k", "0")
+    assert code == 2
+    assert "cop count must be >= 1" in err
+
+
 def test_sweep_prints_infinite_f_on_robber_wins(capsys):
     # one cop never catches the adversarial robber on C4 (ct = inf), but dct = 1
     code, out, _ = run_cli(capsys, "sweep", "--family", "cycle", "--n", "4", "--k", "1")

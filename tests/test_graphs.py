@@ -116,6 +116,23 @@ def test_lollipop_counts():
         assert abs(cc.lollipop(n, 1.0).n / n - 2.0) < 0.05
 
 
+@pytest.mark.parametrize("build, n, edges, symmetries", [
+    # path 0-1-2-3 with a K2 at each end: extra vertex 4 at 0, 5 at 3
+    (cc.barbell(4, 0.5), 6, [(0, 1), (0, 4), (1, 2), (2, 3), (3, 5)],
+     [[0, 1, 2, 3, 4, 5], [3, 2, 1, 0, 5, 4]]),
+    (cc.barbell(3, 1), 7, [(0, 1), (0, 3), (0, 4), (1, 2), (2, 5), (2, 6), (3, 4), (5, 6)],
+     [[0, 1, 2, 3, 4, 5, 6], [2, 1, 0, 5, 6, 3, 4]]),
+    (cc.barbell(5, 0), 5, [(0, 1), (1, 2), (2, 3), (3, 4)], [[0, 1, 2, 3, 4], [4, 3, 2, 1, 0]]),
+    (cc.lollipop(4, 0.75), 6, [(0, 1), (0, 4), (0, 5), (1, 2), (2, 3), (4, 5)],
+     [[0, 1, 2, 3, 4, 5]]),
+    (cc.lollipop(3, 0.34), 3, [(0, 1), (1, 2)], [[0, 1, 2]]),  # a clique of one vertex
+])
+def test_barbell_and_lollipop_edges(build, n, edges, symmetries):
+    assert build.n == n
+    assert build.edges() == edges
+    assert build.symmetries.tolist() == symmetries
+
+
 def test_validate_diagnostics():
     assert cc.validate(cc.path(5)) == cc.GraphDiagnostics(True, 4, 2)
     assert cc.validate(cc.cycle(6)) == cc.GraphDiagnostics(True, 3, 2)

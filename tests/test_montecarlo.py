@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -182,6 +185,37 @@ def test_moves_validated_in_debug_runs():
         g, sol.policy, 2000, seed=5, start=start, validate_moves=True
     )
     assert report.censored == 0
+
+
+def jump_policy():
+    """A cop on P4 that jumps from 0 to 3 whenever the robber is not on 0."""
+    return cc.FeedbackPolicy(1, [(0,), (1,), (2,), (3,)], np.tile([[3], [1], [2], [3]], 4))
+
+
+def test_illegal_moves_raise_simulation_errors():
+    with pytest.raises(cc.SimulationError, match=r"illegal cop move \(0,\) -> \(3,\)"):
+        cc.simulate_drunk_pursuit(cc.path(4), jump_policy(), 100, seed=1, start=(0,),
+                                  validate_moves=True)
+    with pytest.raises(cc.SimulationError, match=r"robber stepped 0 -> 2 outside N\(0\)"):
+        montecarlo._check_robber_steps(cc.path(4), np.array([0, 1]), np.array([2, 0]))
+
+
+def test_move_checks_survive_optimization():
+    # `python -O` strips assert statements; the checks must not rest on them
+    script = """if True:
+        import numpy as np, copchase as cc
+        policy = cc.FeedbackPolicy(1, [(0,), (1,), (2,), (3,)], np.tile([[3], [1], [2], [3]], 4))
+        try:
+            cc.simulate_drunk_pursuit(cc.path(4), policy, 100, seed=1, start=(0,),
+                                      validate_moves=True)
+        except cc.SimulationError as exc:
+            print(exc)
+    """
+    src = os.path.dirname(os.path.dirname(cc.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "illegal cop move (0,) -> (3,)"
 
 
 def test_censoring_reported():

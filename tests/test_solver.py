@@ -144,6 +144,30 @@ def test_drunk_single_vertex():
     assert cc.capture_time(cc.path(1), 1) == 0
 
 
+@pytest.mark.parametrize("scheme", cc.solver.SCHEMES)
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_one_vertex_takes_the_general_path(k, scheme):
+    # the cops start on the robber: every entry point returns the zero table,
+    # and the solve reports no sweep
+    g, opts = cc.path(1), cc.SolveOptions(scheme=scheme)
+    sol = cc.solve_drunk(g, k, opts)
+    assert sol.values.configs == [(0,) * k]
+    assert sol.values.values.tolist() == [[0.0]]
+    assert sol.policy.successor_idx.tolist() == [[0]]
+    assert sol.stats == SweepStats(0, 0.0, 0.0, 0.0)
+    assert sol.optimal_start() == ((0,) * k, 0.0)
+    assert _drunk_start(g, k, opts) == ((0,) * k, 0.0, SweepStats(0, 0.0, 0.0, 0.0))
+    assert cc.drunk_capture_time(g, k, opts) == 0.0
+    assert cc.extract_policy(sol.values, g).successor_idx.tolist() == [[0]]
+    assert cc.policy_value(g, sol.policy).values.tolist() == [[0.0]]
+    # the cap counts the one state, as the adversarial solve's does
+    for solve in (cc.solve_drunk, cc.drunk_capture_time):
+        with pytest.raises(cc.StateSpaceError):
+            solve(g, k, opts, state_cap=0)
+    with pytest.raises(cc.StateSpaceError):
+        cc.solve_adversarial(g, k, state_cap=0)
+
+
 def test_solve_options_validation():
     assert cc.SolveOptions().scheme == "jacobi"
     with pytest.raises(ValueError):
@@ -252,6 +276,26 @@ def test_policy_value_builds_no_successor_table(monkeypatch):
     monkeypatch.setattr(_StateSpace, "_successors", property(unbuilt))
     pv = cc.policy_value(cc.cycle(6), sol.policy)
     assert np.abs(pv.values - sol.values.values).max() <= 1e-8
+
+
+@pytest.mark.parametrize("limits", [{"max_sweeps": 0}, {"tolerance": 0, "max_sweeps": 10},
+                                    {"tolerance": -1e-9, "max_sweeps": 10}])
+def test_policy_value_takes_the_solve_limits(limits):
+    g = cc.path(3)
+    policy = cc.solve_drunk(g, 1).policy
+    with pytest.raises(ValueError):
+        cc.policy_value(g, policy, **limits)
+
+
+def test_scalar_answers_build_no_policy(monkeypatch):
+    def no_policy(space, C):
+        raise AssertionError("scalar answers read no policy")
+
+    monkeypatch.setattr(cc.solver, "_drunk_policy", no_policy)
+    for scheme in cc.solver.SCHEMES:
+        opts = cc.SolveOptions(scheme=scheme)
+        assert _drunk_start(cc.path(3), 1, opts)[1] == pytest.approx(2 / 3)
+        assert cc.drunkenness_report(cc.cycle(5), opts).cops == 2
 
 
 def test_extract_policy_matches_solution():
