@@ -28,10 +28,10 @@ from .solver import (
     CopNumberError,
     SolveOptions,
     StateSpaceError,
+    _adversarial_start,
+    _cop_number_start,
     _drunk_start,
     drunkenness_report,
-    solve_adversarial,
-    solve_at_cop_number,
     solve_drunk,
 )
 
@@ -126,13 +126,9 @@ def _emit_json(payload: dict) -> None:
 
 def _cmd_ct(args) -> int:
     g = _build_graph(args)
-    solution = solve_adversarial(g, args.k, _state_cap(args))
-    value = solution.capture_time()
+    start, value = _adversarial_start(g, args.k, _state_cap(args))
     digits = args.exact_digits
-    if math.isinf(value):
-        start = None
-    else:
-        start = list(solution.optimal_start()[0])
+    start = None if math.isinf(value) else list(start)
     if args.json:
         _emit_json({"command": "ct", "n": g.n, "k": args.k,
                     "value": _jsonable(value, digits), "start": start})
@@ -235,10 +231,8 @@ def _cmd_sweep(args) -> int:
             t0 = time.perf_counter()
             try:
                 g = FamilySpec(family=family, n=n, c=c, d=args.d, depth=args.depth).build()
-                adversarial = (solve_adversarial(g, args.k, cap) if args.k
-                               else solve_at_cop_number(g, args.max_cops, cap))
-                k, ct = adversarial.cop_values.k, adversarial.capture_time()
-                del adversarial  # free its tables before the drunk solve
+                k, _, ct = ((args.k, *_adversarial_start(g, args.k, cap)) if args.k
+                            else _cop_number_start(g, args.max_cops, cap))
                 _, dct, stats = _drunk_start(g, k, opts, cap)
                 row.update(k=k, ct=_fmt(ct, args.exact_digits),
                            dct=_fmt(dct, args.exact_digits), sweeps=stats.sweeps)

@@ -1,7 +1,8 @@
 """Exact pursuit-game values: adversarial capture times via layered
 retrograde analysis of the minimax game, and expected capture times against
-the random-walking (drunk) robber via undiscounted value iteration, which
-scalar answers run on the quotient by the graph's declared symmetry group.
+the random-walking (drunk) robber via undiscounted value iteration. Scalar
+answers of both games run on the quotient by the graph's declared symmetry
+group.
 
 States are pairs (cop configuration, robber vertex). Cop configurations are
 canonical sorted k-tuples: cops are interchangeable and may share a vertex.
@@ -200,6 +201,15 @@ class _StateSpace:
         return self._successors[3]
 
     @functools.cached_property
+    def stabilizers(self) -> np.ndarray:
+        """(m, S) rows of `group` that map each row's configuration onto
+        itself, identity first; short rows repeat it."""
+        reps = np.array(self.configs)
+        fixes = [np.all(np.sort(s[reps], 1, kind="stable") == reps, 1) for s in self.group]
+        row, elem = np.nonzero(np.array(fixes).T)
+        return _padded_flat(elem, np.bincount(row, minlength=self.m))
+
+    @functools.cached_property
     def walk(self) -> np.ndarray:
         """Cop-free robber walk matrix (n x n, rows uniform over N(v)). On one
         vertex the robber has no step and it is the 1 x 1 zero; every state
@@ -234,12 +244,32 @@ def _occupancy(configs, n: int) -> np.ndarray:
     return occupied
 
 
-def _gathered_min(succ: np.ndarray, table: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out[i] = entrywise min of table over the rows succ[i, :]; with
-    `succ_padded`, over the successors of config i."""
-    np.copyto(out, table[succ[:, 0]])
-    for j in range(1, succ.shape[1]):
-        np.minimum(out, table[succ[:, j]], out=out)
+def _min_plan(succ: np.ndarray, count: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
+    """The plan of `_gathered_min` for padded lists succ of count entries:
+    per width class (widths in [2^i, 2^(i+1))), the first row of each
+    distinct list with the lists cut to the class's widest; then the other
+    rows, and the first row of their list. Equal lists are equal rows (pads
+    repeat an entry), found by stable sorts one column at a time."""
+    order = np.arange(len(succ))
+    for key in (*succ.T[::-1], count):  # the last sort's key is the first
+        order = order[np.argsort(key[order], kind="stable")]
+    head = np.concatenate(([True], np.diff(succ[order], axis=0).any(axis=1)))
+    first = order[head]
+    groups = np.split(first, np.flatnonzero(np.diff(np.frexp(count[first])[1])) + 1)
+    return ([(rows, succ[rows, :count[rows[-1]]]) for rows in groups],
+            order[~head], first[np.cumsum(head)[~head] - 1])
+
+
+def _gathered_min(plan, table: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[i] = entrywise min of table over the rows of list i, by the lists'
+    `_min_plan`: once per distinct list, over its own entries."""
+    groups, rest, src = plan
+    for rows, lists in groups:
+        low = table[lists[:, 0]]
+        for j in range(1, lists.shape[1]):
+            np.minimum(low, table[lists[:, j]], out=low)
+        out[rows] = low
+    out[rest] = out[src]
     return out
 
 
@@ -456,19 +486,24 @@ def _retrograde(space: _StateSpace) -> tuple[np.ndarray, int]:
     state one cop step away from a robber state of value t then has value
     t + 1, its smallest. The pass stops at the first layer that decides no
     cop-to-move state. States are flat indices x * n + y.
+
+    On a quotient, cop steps being symmetric, (r, z) is one step from
+    (q, cols[e][z]) for each slot e * m + q of row r; and (q, w) is decided
+    with (q, s(w)) for each s in row q's stabilizer (see `_StateSpace`).
     """
-    n = space.n
+    m, n = space.m, space.n
     occupied = space.occupied.ravel()
-    C = np.full(space.m * n, np.inf)
+    C = np.full(m * n, np.inf)
     C[occupied] = 0.0
     nbrs, size = space.g._neighbor_table(closed=True)
     # occupied robber states start decided at 0; decrements only take them
     # further below 0, so they never reach 0 again
-    count = np.tile(size.astype(np.int32), space.m)
+    count = np.tile(size.astype(np.int32), m)
     count[occupied] = 0
     one = np.int32(1)  # a Python int sends np.subtract.at down its slow path
     cols = np.arange(nbrs.shape[1])
-    succ = space.succ_padded
+    succ, perms = space.succ_padded, space.cols
+    stab = space.stabilizers if len(space.group) > 1 else None
     frontier = np.flatnonzero(occupied)
     t = 0
     while True:
@@ -482,14 +517,22 @@ def _retrograde(space: _StateSpace) -> tuple[np.ndarray, int]:
         cop = [frontier[:0]]
         for r in _slices(np.concatenate(robber), succ.shape[1]):
             x, y = np.divmod(r, n)
-            pred = (succ[x] * n + y[:, None]).ravel()  # pads repeat an entry
-            pred = _distinct(pred[C[pred] == np.inf], C)  # scratch until set
+            if len(perms) == 1:  # pads repeat an entry
+                pred = (succ[x] * n + y[:, None]).ravel()
+            else:  # slot e * m + q reads row q through perms[e]
+                e, q = np.divmod(succ[x], m)
+                pred = (q * n + perms[e, y[:, None]]).ravel()
+            pred = pred[C[pred] == np.inf]
+            if stab is not None:
+                q, w = np.divmod(pred, n)
+                pred = (q[:, None] * n + space.group[stab[q], w[:, None]]).ravel()
+            pred = _distinct(pred, C)  # scratch until set
             C[pred] = t + 1
             cop.append(pred)
         frontier = np.concatenate(cop)
         t += 1
         if not frontier.size:
-            return C.reshape(space.m, n), t
+            return C.reshape(m, n), t
 
 
 def _slices(states: np.ndarray, width: int):
@@ -545,9 +588,18 @@ def _argmin_policy(space: _StateSpace, table: np.ndarray) -> np.ndarray:
 
 
 def capture_time(g: Graph, k: int, state_cap: int = DEFAULT_STATE_CAP) -> float:
-    """min over starts of the worst-case capture time; math.inf iff k cops
-    cannot win."""
-    return solve_adversarial(g, k, state_cap).capture_time()
+    """min over starts of the worst-case capture time; math.inf iff k cops cannot win."""
+    return _adversarial_start(g, k, state_cap)[1]
+
+
+def _adversarial_start(g: Graph, k: int, state_cap: int = DEFAULT_STATE_CAP):
+    """The optimal start and capture time of `solve_adversarial` by
+    `_retrograde` on the symmetry quotient, with no robber table or policy:
+    worst values are constant on orbits, whose first members are the rows."""
+    space = _StateSpace(g, k, state_cap, symmetric=True)
+    worst = _retrograde(space)[0].max(axis=1)
+    best = int(worst.argmin())
+    return space.configs[best], float(worst[best])
 
 
 def solve_drunk(
@@ -609,13 +661,14 @@ def _drunk_jacobi(space: _StateSpace, opts: SolveOptions):
     the smear alone."""
     cols = space.cols
     stack = np.empty((len(cols), space.m, space.n))
+    plan = _min_plan(space.succ_padded, space.succ_count)
 
     def successor_min(C, out):
         _smeared(space, C, stack[0])
         for e in range(1, len(cols)):
             # mode="clip": with the default "raise", take fills `out` through a buffer
             np.take(stack[0], cols[e], axis=1, out=stack[e], mode="clip")
-        _gathered_min(space.succ_padded, stack.reshape(-1, space.n), out)
+        _gathered_min(plan, stack.reshape(-1, space.n), out)
 
     return _jacobi(space, successor_min, opts)
 
@@ -670,22 +723,18 @@ def _drunk_gauss_seidel(space: _StateSpace, opts: SolveOptions):
             cols = cops[rows]
             steps.append((rows, space.succ_padded[rows, :int(count[rows].max())],
                           (np.arange(len(rows))[:, None], cols), (rows[:, None], cols)))
-    block = np.empty((max(map(len, space.levels)), space.n))
     min_increment = math.inf
     for sweep in range(1, opts.max_sweeps + 1):
         delta = 0.0
         for rows, succ, new_occupied, occupied in steps:
-            if succ.ndim == 1:  # rows is one row x of a small level
-                new = W[succ].min(axis=0)
-            else:
-                new = _gathered_min(succ, W, block[: len(rows)])
+            new = W[succ].min(axis=-2)  # per row, over its successors
             new += 1.0
             new[new_occupied] = 0.0
             diff = new - C[rows]
             change = np.abs(diff).max(axis=-1)
             min_increment = min(min_increment, float(diff.min()))
             C[rows] = new
-            if succ.ndim == 1:
+            if succ.ndim == 1:  # rows is one row x of a small level
                 delta = max(delta, float(change))
                 if change > 0:
                     np.matmul(P, new, out=W[rows])
@@ -783,24 +832,18 @@ def policy_value(
     return ValueTable("drunk", policy.k, space.configs, V)
 
 
-def cop_number(
-    g: Graph, max_cops: int = 3, state_cap: int = DEFAULT_STATE_CAP
-) -> int:
+def cop_number(g: Graph, max_cops: int = 3, state_cap: int = DEFAULT_STATE_CAP) -> int:
     """Least k with finite adversarial capture time, searched k = 1, 2, ...
     up to `max_cops`."""
-    return solve_at_cop_number(g, max_cops, state_cap).cop_values.k
+    return _cop_number_start(g, max_cops, state_cap)[0]
 
 
-def solve_at_cop_number(
-    g: Graph, max_cops: int = 3, state_cap: int = DEFAULT_STATE_CAP
-) -> AdversarialSolution:
-    """The adversarial solution at the cop number, searched as `cop_number`
-    does."""
+def _cop_number_start(g: Graph, max_cops: int = 3, state_cap: int = DEFAULT_STATE_CAP):
+    """The cop number and `_adversarial_start` there."""
     for k in range(1, max_cops + 1):
-        solution = solve_adversarial(g, k, state_cap)
-        if math.isfinite(solution.capture_time()):
-            return solution
-        del solution  # free the losing tables before the larger solve
+        start, ct = _adversarial_start(g, k, state_cap)
+        if math.isfinite(ct):
+            return k, start, ct
     raise CopNumberError(f"no winning configuration with up to {max_cops} cops")
 
 
@@ -824,10 +867,7 @@ def drunkenness_report(
     """Capture time, drunk capture time, and their ratio at the cop number."""
     if g.n == 1:
         raise ValueError("cost of drunkenness is undefined on a single vertex")
-    adversarial = solve_at_cop_number(g, max_cops, state_cap)
-    cops = adversarial.cop_values.k
-    adversarial_start, ct = adversarial.optimal_start()
-    del adversarial  # free its tables before the drunk solve
+    cops, adversarial_start, ct = _cop_number_start(g, max_cops, state_cap)
     start, dct, stats = _drunk_start(g, cops, opts, state_cap)
     return DrunkennessReport(
         cops=cops,

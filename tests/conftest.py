@@ -1,5 +1,6 @@
 """Shared test helpers: deterministic graph factories, sweep strategies, the
-game-tree minimax oracle and the exact drunk-robber oracle."""
+padded successor min, the game-tree minimax oracle and the exact
+drunk-robber oracle."""
 
 import itertools
 import math
@@ -41,6 +42,16 @@ def cycle_opposite_sweep(n: int) -> cc.FixedStrategy:
     return cc.FixedStrategy(
         [tuple(sorted((t % n, (n - 1 - t) % n))) for t in range(rounds)]
     )
+
+
+def padded_min(succ, table, out):
+    """Reference successor min: out[i] = entrywise min of table over the
+    rows succ[i, :], padded rows and all; with `succ_padded`, over the
+    successors of config i."""
+    np.copyto(out, table[succ[:, 0]])
+    for j in range(1, succ.shape[1]):
+        np.minimum(out, table[succ[:, j]], out=out)
+    return out
 
 
 def minimax_capture_value(g, x, y, horizon, memo):

@@ -321,3 +321,30 @@ def test_dct_beyond_the_full_state_cap(capsys):
     code, _, err = run_cli(capsys, "dct", "--family", "cycle", "--n", "400", "--k", "2",
                            "--scheme", "gauss-seidel")
     assert code == 3 and "exceeds cap" in err
+
+
+def test_ct_beyond_the_full_state_cap(capsys, schema):
+    # ct runs on the dihedral quotient too: 201 x 400 states
+    code, out, _ = run_cli(capsys, "ct", "--family", "cycle", "--n", "400", "--k", "2",
+                           "--json")
+    assert code == 0
+    payload = check_json(schema, out)
+    assert payload["value"] == 100 and payload["start"] == [0, 199]
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["ct", "--family", "grid", "--n", "4", "--k", "2"], 0),
+    (["ct", "--family", "cycle", "--n", "6", "--k", "1"], 5),
+    (["cod", "--family", "grid", "--n", "3"], 0),
+    (["sweep", "--family", "cycle", "--n-list", "5,6", "--k", "2"], 0),
+    (["sweep", "--family", "cycle", "--n-list", "5,6", "--k", "0"], 0),
+])
+def test_scalar_commands_build_no_adversarial_policy(capsys, monkeypatch, argv, expected):
+    def no_policy(*args):
+        raise AssertionError("scalar commands read no policy")
+
+    monkeypatch.setattr(cc.solver, "_adversarial_policy", no_policy)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == expected and not err
+    if argv[0] == "sweep":  # a row's failure is recorded in its error column
+        assert [row["error"] for row in csv.DictReader(io.StringIO(out))] == ["", ""]

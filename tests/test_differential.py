@@ -2,13 +2,15 @@
 evaluator and the fixed-strategy capture distribution against the dense
 cop-modified-chain reference, the policy evaluator against its own former
 loop, wavefront Gauss-Seidel against the row-by-row loop, the retrograde
-adversarial solve against the fixpoint sweep loop, both drunk schemes and
-the symmetry quotient against exact values and against each other, and
-configuration ranking against enumeration."""
+adversarial solve against the fixpoint sweep loop and its quotient against
+the full solve, the successor min over distinct lists against the padded one,
+both drunk schemes and the symmetry quotient against exact values and
+against each other, and configuration ranking against enumeration."""
 
 import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from copchase.chain import MASS_TOL
 from copchase.solver import (SolveOptions, SweepStats, _config_rank, _drunk_start, _near_min,
                              _StateSpace)
 
-from conftest import exact_drunk_values, lift_quotient, random_connected_graph
+from conftest import exact_drunk_values, lift_quotient, padded_min, random_connected_graph
 
 # derandomized: every run draws the same examples
 SETTINGS = settings(max_examples=60, derandomize=True, database=None, deadline=None)
@@ -64,7 +66,7 @@ def fixpoint_adversarial(space):
     while True:
         sweeps += 1
         solver._robber_max(space, C, R)
-        solver._gathered_min(space.succ_padded, R, C_new)
+        padded_min(space.succ_padded, R, C_new)
         C_new += 1.0
         C_new[space.occupied] = 0.0
         if np.array_equal(C_new, C):
@@ -118,6 +120,87 @@ def test_retrograde_matches_fixpoint_on_both_outcomes():
             for seed, (n, k, p) in enumerate(itertools.product(
                 range(2, 9), range(1, 4), [0.1, 0.3, 0.6]))}
     assert wins == {True, False}
+
+
+@st.composite
+def family_instances(draw):
+    """Cycles, paths, grids and barbells of up to 22 vertices with their
+    declared groups, half of them relabeled, and 1-3 cops; one cop loses on
+    cycles of 4 or more vertices and on grids."""
+    family = draw(st.sampled_from(["cycle", "path", "grid", "barbell"]))
+    if family == "cycle":
+        g = cc.cycle(draw(st.integers(3, 9)))
+    elif family == "path":
+        g = cc.path(draw(st.integers(2, 9)))
+    elif family == "grid":
+        g = cc.grid(draw(st.integers(2, 4)))
+    else:
+        g = cc.barbell(draw(st.integers(2, 8)), draw(st.sampled_from([0.5, 1.0])))
+    if draw(st.booleans()):
+        g = cc.relabel(g, draw(st.permutations(range(g.n))))  # a conjugated group
+    return g, draw(st.integers(1, 3))
+
+
+def assert_quotient_retrograde_matches(g, k):
+    """The quotient pass lifts to the full solve's cop table with as many
+    layers, and `_adversarial_start` picks its start; returns whether k
+    cops win."""
+    full = cc.solve_adversarial(g, k)
+    q = _StateSpace(g, k, math.inf, symmetric=True)
+    C, layers = solver._retrograde(q)
+    assert np.array_equal(lift_quotient(q, C), full.cop_values.values)
+    assert layers == full.sweeps
+    assert solver._adversarial_start(g, k) == full.optimal_start()
+    return math.isfinite(full.capture_time())
+
+
+@pytest.mark.parametrize("slice_entries", [1, 10**9])
+@SETTINGS
+@given(family_instances())
+def test_quotient_retrograde_matches_full(slice_entries, instance):
+    with mock.patch.object(solver, "_SLICE_ENTRIES", slice_entries):
+        assert_quotient_retrograde_matches(*instance)
+
+
+QUOTIENT_ADVERSARIAL = {
+    "grid5": (cc.grid(5), 2),  # rows whose stabilizer is not trivial
+    "grid4-k1": (cc.grid(4), 1),
+    "cycle12-k1": (cc.cycle(12), 1),
+    "cycle9-k3": (cc.cycle(9), 3),
+    "barbell10": (cc.barbell(10, 1.0), 1),
+    "lollipop20": (cc.lollipop(20, 0.41), 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(QUOTIENT_ADVERSARIAL))
+@pytest.mark.parametrize("slice_entries", [1, 10**9])
+def test_quotient_retrograde_matches_full_named(name, slice_entries, monkeypatch):
+    monkeypatch.setattr(solver, "_SLICE_ENTRIES", slice_entries)
+    g, k = QUOTIENT_ADVERSARIAL[name]
+    assert assert_quotient_retrograde_matches(g, k) == ("k1" not in name)
+
+
+def assert_gathered_min_matches_padded(g, k, seed=0):
+    for symmetric in (False, True):
+        space = _StateSpace(g, k, math.inf, symmetric=symmetric)
+        table = np.random.default_rng(seed).random((len(space.cols) * space.m, space.n))
+        padded = padded_min(space.succ_padded, table, np.empty((space.m, space.n)))
+        plan = solver._min_plan(space.succ_padded, space.succ_count)
+        listed = solver._gathered_min(plan, table, np.full((space.m, space.n), np.nan))
+        assert np.array_equal(listed, padded)
+
+
+@SETTINGS
+@given(st.one_of(graph_instances(2, 8), family_instances()), st.integers(0, 2**31 - 1))
+def test_gathered_min_matches_padded_min(instance, seed):
+    assert_gathered_min_matches_padded(*instance, seed)
+
+
+@pytest.mark.parametrize("g", [cc.lollipop(150, 0.6), cc.lollipop(20, 0.41),
+                               cc.barbell(100, 1.0), cc.barbell(10, 1.0), cc.grid(6)],
+                         ids=["L150", "L20", "B100", "B10", "G6"])
+def test_gathered_min_matches_padded_min_named(g):
+    assert_gathered_min_matches_padded(g, 1)
 
 
 def row_by_row_gauss_seidel(space, opts):
@@ -281,7 +364,10 @@ def test_drunk_solvers_match_exact_values(instance):
     V, rounds = exact_drunk_values(g, k, jacobi.policy.successor_idx)
     assert rounds == 0  # the float policy is optimal, ties allowed
     exact = np.array(V, dtype=float)
-    for table in (jacobi.values.values, gauss_seidel.values.values, lift_quotient(q, C)):
+    # rounds == 0: V is also the exact value of the float policy itself
+    evaluated = cc.policy_value(g, jacobi.policy, tolerance=1e-300).values
+    for table in (jacobi.values.values, gauss_seidel.values.values, lift_quotient(q, C),
+                  evaluated):
         assert np.all(np.abs(table - exact) <= 1e-14 * exact)
     if len(g.symmetries) == 1:  # the quotient is the full space
         assert np.array_equal(C, jacobi.values.values) and stats == jacobi.stats

@@ -123,6 +123,10 @@ def test_cop_number():
     assert cc.cop_number(complete_graph(5)) == 1
     with pytest.raises(cc.CopNumberError):
         cc.cop_number(cc.cycle(6), max_cops=1)
+    with pytest.raises(cc.CopNumberError):  # the search runs on the grid's quotient
+        cc.cop_number(cc.grid(3), max_cops=1)
+    with pytest.raises(cc.CopNumberError):
+        cc.drunkenness_report(cc.grid(4), max_cops=1)
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +300,18 @@ def test_scalar_answers_build_no_policy(monkeypatch):
         opts = cc.SolveOptions(scheme=scheme)
         assert _drunk_start(cc.path(3), 1, opts)[1] == pytest.approx(2 / 3)
         assert cc.drunkenness_report(cc.cycle(5), opts).cops == 2
+
+
+def test_scalar_capture_times_build_no_policy(monkeypatch):
+    def no_policy(*args):
+        raise AssertionError("scalar capture times read no policy")
+
+    monkeypatch.setattr(cc.solver, "_adversarial_policy", no_policy)
+    assert cc.capture_time(cc.cycle(7), 2) == 2.0
+    assert cc.capture_time(cc.cycle(7), 1) == math.inf
+    assert cc.cop_number(cc.grid(3)) == 2
+    assert cc.cost_of_drunkenness(cc.cycle(5)) == pytest.approx(5 / 3)
+    assert cc.drunkenness_report(cc.grid(4)).adversarial_start == (1, 10)
 
 
 def test_extract_policy_matches_solution():
