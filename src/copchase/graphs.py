@@ -208,10 +208,17 @@ def distance_matrix(g: Graph) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 
 
+def _check_size(what: str, n: int) -> None:
+    """GraphError before any edge is listed if a generated graph is too large."""
+    if n > MAX_GENERATED_VERTICES:
+        raise GraphError(f"{what} would have more than {MAX_GENERATED_VERTICES} vertices")
+
+
 def path(n: int) -> Graph:
     """Path on n >= 1 vertices, edges {i-1, i}."""
     if n < 1:
         raise GraphError(f"path requires n >= 1, got {n}")
+    _check_size(f"path({n})", n)
     return _declared(Graph(n, [(i - 1, i) for i in range(1, n)]), lambda: np.arange(n)[::-1])
 
 
@@ -219,6 +226,7 @@ def cycle(n: int) -> Graph:
     """Cycle on n >= 3 vertices, edges {i, i+1 mod n}."""
     if n < 3:
         raise GraphError(f"cycle requires n >= 3, got {n}")
+    _check_size(f"cycle({n})", n)
 
     def dihedral():
         v, shift = np.arange(n), np.arange(n)[:, None]
@@ -238,8 +246,7 @@ def complete_tree(d: int, depth: int) -> Graph:
     if depth < 0:
         raise GraphError(f"complete_tree requires depth >= 0, got {depth}")
     n = (d ** (depth + 1) - 1) // (d - 1)
-    if n > MAX_GENERATED_VERTICES:
-        raise GraphError(f"complete_tree({d}, {depth}) would have {n} vertices")
+    _check_size(f"complete_tree({d}, {depth})", n)
     edges = []
     # breadth-first labelling: children of vertex i are d*i+1 .. d*i+d
     for child in range(1, n):
@@ -254,8 +261,7 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
     (u1,v1) ~ (u2,v2) iff u1 == u2 and v1 ~ v2, or v1 == v2 and u1 ~ u2.
     """
     nh = h.n
-    if g.n * nh > MAX_GENERATED_VERTICES:
-        raise GraphError("cartesian product too large")
+    _check_size("the cartesian product", g.n * nh)
     edges = []
     for u in range(g.n):
         base = u * nh
@@ -279,8 +285,8 @@ def grid(n: int) -> Graph:
 
 
 def _clique_size(n: int, c: float) -> int:
-    if c < 0:
-        raise GraphError(f"clique ratio c must be nonnegative, got {c}")
+    if not 0 <= c < math.inf:  # also rejects nan
+        raise GraphError(f"clique ratio c must be finite and nonnegative, got {c}")
     m = math.floor(c * n)
     if c > 0 and m < 1:
         raise GraphError(f"clique ratio c={c} yields an empty clique at n={n}")
@@ -294,6 +300,7 @@ def _path_with_cliques(family: str, n: int, c: float, ends: tuple[int, ...]) -> 
     if n < 2:
         raise GraphError(f"{family} requires n >= 2, got {n}")
     extra = max(_clique_size(n, c) - 1, 0)
+    _check_size(f"{family}({n}, {c})", n + len(ends) * extra)
     edges = [(i - 1, i) for i in range(1, n)]
     for j, end in enumerate(ends):
         members = [end, *range(n + j * extra, n + (j + 1) * extra)]

@@ -252,6 +252,8 @@ def simulate_random_cops(
         cfg = tuple(sorted(start))
         if len(cfg) != k:
             raise SimulationError(f"start {start!r} does not place {k} cops")
+        if cfg[0] < 0 or cfg[-1] >= n:  # a negative vertex would wrap around
+            raise SimulationError(f"start {start!r} places a cop off the graph's {n} vertices")
         cops = np.tile(np.array(cfg, dtype=np.int64), (trials, 1))
 
     if evader == "uniform-random":

@@ -1,8 +1,8 @@
 """Exact pursuit-game values: adversarial capture times via layered
 retrograde analysis of the minimax game, and expected capture times against
-the random-walking (drunk) robber via undiscounted value iteration. Scalar
-answers of both games run on the quotient by the graph's declared symmetry
-group.
+the random-walking (drunk) robber via undiscounted value iteration, whose
+Jacobi and Gauss-Seidel schemes share one sweep loop. Scalar answers of
+both games run on the quotient by the graph's declared symmetry group.
 
 States are pairs (cop configuration, robber vertex). Cop configurations are
 canonical sorted k-tuples: cops are interchangeable and may share a vertex.
@@ -284,6 +284,13 @@ def _config_rank(n: int, k: int, config) -> int:
     return math.comb(top, k) - 1 - sum(math.comb(top - 1 - c - i, k - i) for i, c in enumerate(cfg))
 
 
+def _state(table: np.ndarray, k: int, config, y: int) -> tuple[int, int]:
+    """Index of (config, y) in a (configurations x n) table; KeyError off it."""
+    if not 0 <= y < table.shape[1]:  # a negative y would wrap around
+        raise KeyError(y)
+    return _config_rank(table.shape[1], k, config), y
+
+
 def _rank_table(n: int, k: int) -> np.ndarray:
     """table[i, r] = C(r, k - i), read by `_ranks`. Entries above C(n+k-1, k)
     are never read, and are capped there so that they fit in int64."""
@@ -332,7 +339,7 @@ class ValueTable:
         self.values = values
 
     def value(self, config, y: int) -> float:
-        return float(self.values[_config_rank(self.values.shape[1], self.k, config), y])
+        return float(self.values[_state(self.values, self.k, config, y)])
 
     def __getitem__(self, key) -> float:
         config, y = key
@@ -361,7 +368,7 @@ class FeedbackPolicy:
         self.successor_idx = successor_idx
 
     def successor(self, config, y: int):
-        idx = self.successor_idx[_config_rank(self.successor_idx.shape[1], self.k, config), y]
+        idx = self.successor_idx[_state(self.successor_idx, self.k, config, y)]
         return None if idx < 0 else self.configs[idx]
 
     def undefined_count(self) -> int:
@@ -390,7 +397,7 @@ class RobberPolicy:
         self.target = target
 
     def successor(self, config, y: int) -> int:
-        return int(self.target[_config_rank(self.target.shape[1], self.k, config), y])
+        return int(self.target[_state(self.target, self.k, config, y)])
 
 
 @dataclass(frozen=True)
@@ -613,8 +620,9 @@ def solve_drunk(
     Iterates C[x, y] = 1 + min over cop steps x' of sum over y' in N(y) of
     P(x')[y, y'] * C[x', y'] from C = 0, where P(x') is the robber walk with
     capture mass removed (steps into cops and cop-occupied rows contribute
-    zero). Jacobi sweeps read the previous table; Gauss-Seidel updates
-    configuration rows in place in ascending order, run as wavefront levels.
+    zero). Both schemes run in the one sweep loop `_sweeps`: a Jacobi sweep
+    reads the previous table; a Gauss-Seidel sweep writes configuration rows
+    in ascending order, run as wavefront levels, and reads those written.
     """
     if opts is None:
         opts = SolveOptions()
@@ -654,40 +662,42 @@ def _smeared(space: _StateSpace, C: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _drunk_jacobi(space: _StateSpace, opts: SolveOptions):
-    """`_jacobi` with the successor min. Each sweep smears the table into
-    stack[0] and copies it once per other group element e that a slot uses,
-    with its columns permuted by cols[e], so that every slot e * m + r stays
-    a plain row gather of the stack. Under the trivial group the stack is
-    the smear alone."""
+    """`_sweeps` with 1 + the successor min of the smeared table. Each
+    sweep smears the table into stack[0] and copies it once per other group
+    element e that a slot uses, with its columns permuted by cols[e], so
+    that every slot e * m + r stays a plain row gather of the stack. Under
+    the trivial group the stack is the smear alone."""
     cols = space.cols
     stack = np.empty((len(cols), space.m, space.n))
     plan = _min_plan(space.succ_padded, space.succ_count)
 
-    def successor_min(C, out):
+    def step(C, out):
         _smeared(space, C, stack[0])
         for e in range(1, len(cols)):
             # mode="clip": with the default "raise", take fills `out` through a buffer
             np.take(stack[0], cols[e], axis=1, out=stack[e], mode="clip")
         _gathered_min(plan, stack.reshape(-1, space.n), out)
+        out += 1.0
+        out[space.occupied] = 0.0
 
-    return _jacobi(space, successor_min, opts)
+    return _sweeps(space, step, opts)
 
 
-def _jacobi(space: _StateSpace, reduce, opts: SolveOptions):
-    """Jacobi sweeps C <- 1 + reduce(C), zero on occupied states, from C = 0
-    over the rows of `space`, until no entry moves by `opts.tolerance`: the
-    table and its SweepStats. `reduce(C, out)` writes into out, per state,
-    the successor reduction of the smeared table."""
+def _sweeps(space: _StateSpace, step, opts: SolveOptions):
+    """Value-iteration sweeps of either scheme from C = 0 over the rows of
+    `space`, until no entry moves by `opts.tolerance`: the table and its
+    SweepStats. `step(C, out)` writes the next table into out (1 + the
+    successor reduction, 0 on occupied states), reading the previous table
+    C and, under Gauss-Seidel, the rows of out it has already written."""
     C = np.zeros((space.m, space.n))
     C_new = np.empty_like(C)
     min_increment = math.inf
     for sweep in range(1, opts.max_sweeps + 1):
-        reduce(C, C_new)
-        C_new += 1.0
-        C_new[space.occupied] = 0.0
-        diff = C_new - C
-        delta = float(np.abs(diff).max())
-        min_increment = min(min_increment, float(diff.min()))
+        step(C, C_new)
+        diff = np.subtract(C_new, C, out=C)  # C is spent: the next step overwrites it
+        low = float(diff.min())
+        delta = max(float(diff.max()), -low)  # max |diff|: 0.0, never -0.0, if all are 0
+        min_increment = min(min_increment, low)
         C, C_new = C_new, C
         if delta < opts.tolerance:
             return C, SweepStats(sweep, delta, min_increment, float(C.max()))
@@ -700,16 +710,15 @@ _BLOCK_MIN_ROWS = 3
 
 
 def _drunk_gauss_seidel(space: _StateSpace, opts: SolveOptions):
-    """Gauss-Seidel sweeps over the wavefront levels of `_StateSpace.levels`,
-    each level updated as one block. A level reads lower levels already
-    updated in this sweep and higher levels not yet updated, just as the
-    ascending row loop does, so the table, sweeps and stats are the same bit
-    for bit. Each row's smear stays one matrix-vector product (a batched
-    product would sum in another order), and a row that did not change keeps
-    the smear it has."""
+    """`_sweeps` with a Gauss-Seidel step over the wavefront levels of
+    `_StateSpace.levels`, each level updated as one block. A level reads
+    lower levels already written in this sweep and higher levels not yet
+    written, just as the ascending row loop does, so the table, sweeps and
+    stats are the same bit for bit. Each row's smear stays one
+    matrix-vector product (a batched product would sum in another order),
+    and a row equal to its previous value keeps the smear it has."""
     P = space.walk
-    C = np.zeros((space.m, space.n))
-    W = np.zeros_like(C)  # masked smear of the current table, row by row
+    W = np.zeros((space.m, space.n))  # masked smear of the current table, row by row
     cops = np.array(space.configs)
     count = space.succ_count
     # each row's or level's own successors (padding to the widest row slows
@@ -723,31 +732,23 @@ def _drunk_gauss_seidel(space: _StateSpace, opts: SolveOptions):
             cols = cops[rows]
             steps.append((rows, space.succ_padded[rows, :int(count[rows].max())],
                           (np.arange(len(rows))[:, None], cols), (rows[:, None], cols)))
-    min_increment = math.inf
-    for sweep in range(1, opts.max_sweeps + 1):
-        delta = 0.0
+
+    def step(C, out):
         for rows, succ, new_occupied, occupied in steps:
             new = W[succ].min(axis=-2)  # per row, over its successors
             new += 1.0
             new[new_occupied] = 0.0
-            diff = new - C[rows]
-            change = np.abs(diff).max(axis=-1)
-            min_increment = min(min_increment, float(diff.min()))
-            C[rows] = new
-            if succ.ndim == 1:  # rows is one row x of a small level
-                delta = max(delta, float(change))
-                if change > 0:
-                    np.matmul(P, new, out=W[rows])
-                    W[occupied] = 0.0
-            else:
-                delta = max(delta, float(change.max()))
-                for x in rows[change > 0].tolist():
-                    np.matmul(P, C[x], out=W[x])
+            out[rows] = new
+            changed = (new != C[rows]).any(axis=-1)
+            if succ.ndim == 2:
+                for x in rows[changed].tolist():
+                    np.matmul(P, out[x], out=W[x])
                 W[occupied] = 0.0
-        if delta < opts.tolerance:
-            stats = SweepStats(sweep, delta, min_increment, float(C.max()))
-            return C, stats
-    raise ConvergenceError(opts.max_sweeps, delta, opts.tolerance)
+            elif changed:  # rows is one row x of a small level
+                np.matmul(P, new, out=W[rows])
+                W[occupied] = 0.0
+
+    return _sweeps(space, step, opts)
 
 
 def _drunk_policy(space: _StateSpace, C: np.ndarray) -> np.ndarray:
@@ -812,7 +813,7 @@ def policy_value(
     max_sweeps: int = 10**6,
 ) -> ValueTable:
     """Expected capture times induced by a fixed feedback policy on the
-    cop-modified robber chains: `_jacobi` with the policy's gather,
+    cop-modified robber chains: `_sweeps` with the policy's gather,
     V[x, y] = 1 + (smeared V)[policy(x, y), y]. `tolerance` and
     `max_sweeps` take the values `SolveOptions` takes."""
     opts = SolveOptions(tolerance=tolerance, max_sweeps=max_sweeps)
@@ -825,10 +826,11 @@ def policy_value(
     cols = np.arange(space.n)
     W = np.empty((space.m, space.n))
 
-    def policy_gather(V, out):
-        out[...] = _smeared(space, V, W)[idx, cols]
+    def step(V, out):
+        np.add(_smeared(space, V, W)[idx, cols], 1.0, out=out)
+        out[space.occupied] = 0.0
 
-    V, _ = _jacobi(space, policy_gather, opts)
+    V, _ = _sweeps(space, step, opts)
     return ValueTable("drunk", policy.k, space.configs, V)
 
 

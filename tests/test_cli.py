@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 
 import jsonschema
@@ -138,6 +141,35 @@ def test_sweep_records_row_errors(capsys):
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[1][-1] != ""   # n=2 is not a cycle: error recorded
     assert rows[2][-1] == ""   # n=5 computed fine
+
+
+@pytest.mark.parametrize("c", ["inf", "-inf", "1e300", "nan"])
+def test_family_input_outside_the_generators_exit_2(capsys, c):
+    code, _, err = run_cli(capsys, "ct", "--family", "barbell", "--n", "10", f"--c={c}")
+    assert code == 2 and err.startswith("error:") and "Traceback" not in err
+    code, out, _ = run_cli(capsys, "sweep", "--family", "barbell", "--n", "10", f"--c={c}")
+    assert code == 0
+    row = list(csv.DictReader(io.StringIO(out)))[0]
+    assert row["ct"] == "" and ("would have more than" in row["error"]
+                                or "finite and nonnegative" in row["error"])
+
+
+def test_console_script_exit_codes():
+    # `copchase.cli:run`, the installed console script, in a fresh process:
+    # its sys.exit carries main's exit code, and an input error prints no
+    # traceback
+    src = os.path.dirname(os.path.dirname(cc.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-c", "from copchase.cli import run; run()", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    ok = run("ct", "--family", "cycle", "--n", "12", "--k", "2", "--json")
+    assert ok.returncode == 0 and json.loads(ok.stdout)["value"] == 3
+    bad = run("ct", "--family", "barbell", "--n", "10", "--c", "inf")
+    assert bad.returncode == 2 and bad.stderr.startswith("error:")
+    assert "Traceback" not in bad.stderr
 
 
 @pytest.mark.parametrize("argv,row", [

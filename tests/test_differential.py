@@ -527,6 +527,15 @@ def test_lookups_reject_foreign_configs():
             drunk.policy.successor(bad, 0)
         with pytest.raises(KeyError):
             adversarial.robber_policy.successor(bad, 0)
+    for y in [-1, g.n]:  # a negative robber vertex must not wrap around
+        with pytest.raises(KeyError):
+            drunk.values.value((0, 1), y)
+        with pytest.raises(KeyError):
+            adversarial.cop_values[(0, 1), y]
+        with pytest.raises(KeyError):
+            drunk.policy.successor((0, 1), y)
+        with pytest.raises(KeyError):
+            adversarial.robber_policy.successor((0, 1), y)
 
 
 def test_simulation_rejects_unknown_start():
@@ -537,3 +546,6 @@ def test_simulation_rejects_unknown_start():
     for bad in [(4,), (-1,), (0, 1), ("a",)]:
         with pytest.raises(cc.SimulationError):
             cc.simulate_drunk_pursuit(g, policy, 20, seed=1, start=bad)
+    for bad in [(4,), (-1,), (0, 1)]:  # a negative vertex must not wrap around
+        with pytest.raises(cc.SimulationError):
+            cc.simulate_random_cops(g, 1, "uniform-random", 20, seed=1, start=bad)

@@ -109,6 +109,18 @@ def test_barbell_structure():
     assert g.degree(1) == 2
 
 
+@pytest.mark.parametrize("build", [
+    lambda: cc.path(10**9), lambda: cc.cycle(cc.graphs.MAX_GENERATED_VERTICES + 1),
+    lambda: cc.barbell(10**8, 0), lambda: cc.lollipop(10, 1e300), lambda: cc.barbell(10, 1e300),
+    lambda: cc.barbell(10, float("inf")), lambda: cc.lollipop(10, float("nan")),
+    lambda: cc.barbell(10, -float("inf")),
+], ids=["path", "cycle", "barbell-n", "lollipop-c", "barbell-c", "inf", "nan", "-inf"])
+def test_generators_reject_outside_input_before_listing_edges(build):
+    # each fails at once, before a list of edges or vertices is built
+    with pytest.raises(GraphError, match="would have more than|finite and nonnegative"):
+        build()
+
+
 def test_lollipop_counts():
     assert cc.lollipop(10, 1).n == 19
     assert cc.lollipop(10, 0) == cc.path(10)

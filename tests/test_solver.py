@@ -116,6 +116,22 @@ def test_adversarial_memory_in_bytes(g, k):
     assert peak <= 6 * sol.cop_values.values.nbytes
 
 
+def test_drunk_memory_in_bytes():
+    # a Jacobi sweep holds the table, the next one, the smear and the
+    # successor min's scratch, and takes its residual into the spent table;
+    # a sweep that held a residual table of its own would peak above 6
+    # tables (6.6 on G10 k=2)
+    g = cc.grid(10)
+    g._neighbor_table(closed=True)
+    tracemalloc.start()
+    try:
+        sol = cc.solve_drunk(g, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * sol.values.values.nbytes
+
+
 def test_cop_number():
     assert cc.cop_number(cc.path(6)) == 1
     assert cc.cop_number(cc.cycle(7)) == 2
@@ -204,9 +220,12 @@ def test_quotient_cap_counts_the_permuted_copies():
 
 
 def test_convergence_error_carries_residual():
-    with pytest.raises(cc.ConvergenceError) as err:
-        cc.solve_drunk(cc.path(5), 1, cc.SolveOptions(max_sweeps=1))
-    assert err.value.residual > 0
+    # both schemes raise from the one sweep loop; the first sweep moves the
+    # free states from 0 to 1
+    for scheme in cc.solver.SCHEMES:
+        with pytest.raises(cc.ConvergenceError) as err:
+            cc.solve_drunk(cc.path(5), 1, cc.SolveOptions(scheme=scheme, max_sweeps=1))
+        assert err.value.sweeps == 1 and err.value.residual == 1.0
 
 
 @pytest.mark.parametrize(
