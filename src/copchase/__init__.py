@@ -50,11 +50,8 @@ from .solver import (
     CopNumberError,
     DrunkennessReport,
     DrunkSolution,
-    FeedbackPolicy,
-    RobberPolicy,
     SolveOptions,
     StateSpaceError,
-    ValueTable,
     capture_time,
     cop_number,
     cost_of_drunkenness,
@@ -65,5 +62,6 @@ from .solver import (
     solve_adversarial,
     solve_drunk,
 )
+from .tables import FeedbackPolicy, RobberPolicy, ValueTable
 
 __version__ = "0.1.0"

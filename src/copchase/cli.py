@@ -378,6 +378,9 @@ def main(argv=None) -> int:
     except (GraphError, StrategyError, SimulationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError as exc:  # an allocation that no cap foresaw
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
+        return EXIT_INFEASIBLE
 
 
 def run() -> None:

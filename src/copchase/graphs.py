@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from collections import deque
@@ -11,6 +12,7 @@ from typing import Callable, Iterable, Sequence, TextIO
 import numpy as np
 
 MAX_GENERATED_VERTICES = 10_000_000
+MAX_GENERATED_EDGES = 10_000_000
 
 
 class GraphError(ValueError):
@@ -198,6 +200,49 @@ def _bfs_distances(g: Graph, source: int) -> list[int]:
     return dist
 
 
+def twin_classes(g: Graph) -> np.ndarray:
+    """Per vertex, the index of its twin class, classes numbered in the order
+    of their least members. Twins have equal open neighbourhoods (nonadjacent
+    twins, such as the leaves of a star) or equal closed ones (adjacent twins,
+    such as the members of a clique), so swapping two of them is an
+    automorphism. No vertex has twins of both kinds: if N(u) = N(v) and
+    N[u] = N[w], then w is in N(v), v in N[w] = N[u], and v would be its own
+    neighbour. The classes found by hashing the neighbourhoods, in O(n + m),
+    thus partition the vertices."""
+    keys, opened, closed = [], {}, {}
+    for v, nbrs in enumerate(g.adjacency):
+        at = bisect.bisect(nbrs, v)
+        key = (nbrs, nbrs[:at] + (v,) + nbrs[at:])
+        keys.append(key)
+        opened.setdefault(key[0], []).append(v)
+        closed.setdefault(key[1], []).append(v)
+    label = [0] * g.n
+    classes = 0
+    for v, (open_key, closed_key) in enumerate(keys):
+        first = min(opened[open_key][0], closed[closed_key][0])  # v itself if it has no twin
+        if first == v:
+            label[v], classes = classes, classes + 1
+        else:
+            label[v] = label[first]
+    return np.array(label, dtype=np.int64)
+
+
+def twin_quotient(g: Graph, label: np.ndarray) -> Graph:
+    """The graph on the classes of `label`, two classes adjacent where their
+    members are; for twin classes (see `twin_classes`) the neighbours of a
+    class's least member tell every edge at the class."""
+    classes = int(label.max()) + 1
+    first = np.full(classes, g.n)
+    np.minimum.at(first, label, np.arange(g.n))
+    table, deg = g._neighbor_table(closed=False)
+    ends = label[table[first]]
+    ends[np.arange(table.shape[1]) >= deg[first][:, None]] = -1  # pads
+    codes = (np.arange(classes)[:, None] * classes + ends)[ends > np.arange(classes)[:, None]]
+    codes = np.sort(codes, kind="stable")
+    codes = codes[np.concatenate(([True], codes[1:] != codes[:-1]))[:len(codes)]]
+    return Graph(classes, zip(*(half.tolist() for half in np.divmod(codes, classes))))
+
+
 def distance_matrix(g: Graph) -> list[list[int]]:
     """All-pairs shortest-path distances (unit edge lengths)."""
     return [_bfs_distances(g, v) for v in range(g.n)]
@@ -208,17 +253,20 @@ def distance_matrix(g: Graph) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 
 
-def _check_size(what: str, n: int) -> None:
-    """GraphError before any edge is listed if a generated graph is too large."""
+def _check_size(what: str, n: int, m: int) -> None:
+    """GraphError before any edge is listed if a generated graph of n
+    vertices and m edges is too large."""
     if n > MAX_GENERATED_VERTICES:
         raise GraphError(f"{what} would have more than {MAX_GENERATED_VERTICES} vertices")
+    if m > MAX_GENERATED_EDGES:
+        raise GraphError(f"{what} would have more than {MAX_GENERATED_EDGES} edges")
 
 
 def path(n: int) -> Graph:
     """Path on n >= 1 vertices, edges {i-1, i}."""
     if n < 1:
         raise GraphError(f"path requires n >= 1, got {n}")
-    _check_size(f"path({n})", n)
+    _check_size(f"path({n})", n, n - 1)
     return _declared(Graph(n, [(i - 1, i) for i in range(1, n)]), lambda: np.arange(n)[::-1])
 
 
@@ -226,7 +274,7 @@ def cycle(n: int) -> Graph:
     """Cycle on n >= 3 vertices, edges {i, i+1 mod n}."""
     if n < 3:
         raise GraphError(f"cycle requires n >= 3, got {n}")
-    _check_size(f"cycle({n})", n)
+    _check_size(f"cycle({n})", n, n)
 
     def dihedral():
         v, shift = np.arange(n), np.arange(n)[:, None]
@@ -246,7 +294,7 @@ def complete_tree(d: int, depth: int) -> Graph:
     if depth < 0:
         raise GraphError(f"complete_tree requires depth >= 0, got {depth}")
     n = (d ** (depth + 1) - 1) // (d - 1)
-    _check_size(f"complete_tree({d}, {depth})", n)
+    _check_size(f"complete_tree({d}, {depth})", n, n - 1)
     edges = []
     # breadth-first labelling: children of vertex i are d*i+1 .. d*i+d
     for child in range(1, n):
@@ -261,7 +309,7 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
     (u1,v1) ~ (u2,v2) iff u1 == u2 and v1 ~ v2, or v1 == v2 and u1 ~ u2.
     """
     nh = h.n
-    _check_size("the cartesian product", g.n * nh)
+    _check_size("the cartesian product", g.n * nh, g.n * h.edge_count() + g.edge_count() * nh)
     edges = []
     for u in range(g.n):
         base = u * nh
@@ -300,7 +348,8 @@ def _path_with_cliques(family: str, n: int, c: float, ends: tuple[int, ...]) -> 
     if n < 2:
         raise GraphError(f"{family} requires n >= 2, got {n}")
     extra = max(_clique_size(n, c) - 1, 0)
-    _check_size(f"{family}({n}, {c})", n + len(ends) * extra)
+    _check_size(f"{family}({n}, {c})", n + len(ends) * extra,
+                n - 1 + len(ends) * math.comb(extra + 1, 2))
     edges = [(i - 1, i) for i in range(1, n)]
     for j, end in enumerate(ends):
         members = [end, *range(n + j * extra, n + (j + 1) * extra)]

@@ -16,7 +16,8 @@ import numpy as np
 
 from .chain import FixedStrategy, _cops_can_move, _round_cap, validate_strategy
 from .graphs import Graph, distance_matrix
-from .solver import FeedbackPolicy, _config_rank, _occupancy
+from .solver import _occupancy
+from .tables import FeedbackPolicy, _config_rank
 
 RNG_NAME = "philox4x64"
 _TAGS = {"placement": 0, "robber": 1, "cops": 2, "walk": 3, "evader": 4}

@@ -2,7 +2,8 @@
 retrograde analysis of the minimax game, and expected capture times against
 the random-walking (drunk) robber via undiscounted value iteration, whose
 Jacobi and Gauss-Seidel schemes share one sweep loop. Scalar answers of
-both games run on the quotient by the graph's declared symmetry group.
+both games run on the quotient by the graph's declared symmetry group and
+the swaps of twin vertices, with one robber column per twin class.
 
 States are pairs (cop configuration, robber vertex). Cop configurations are
 canonical sorted k-tuples: cops are interchangeable and may share a vertex.
@@ -15,12 +16,12 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import TextIO
 
 import numpy as np
 
-from .chain import as_config
 from .graphs import Graph, _padded_flat
+from .lumping import TwinColumns
+from .tables import FeedbackPolicy, RobberPolicy, ValueTable
 
 INFINITE = math.inf
 DEFAULT_STATE_CAP = 5_000_000
@@ -64,25 +65,38 @@ class SolveOptions:
 
 class _StateSpace:
     """Cop configurations with successor and occupancy tables: one row per
-    orbit of the configurations under a group of vertex permutations, with
-    all n robber columns.
+    orbit of the configurations under a group of vertex permutations, and
+    one column per robber vertex or per twin class.
 
-    By default the group is trivial and rows are all configurations in
-    combinations_with_replacement order (see `_config_rank`). With
-    `symmetric=True` it is the graph's declared group `g.symmetries`, and a
-    row stands for its orbit's first (lexicographically smallest) member,
-    rows ascending. The state cap then counts orbit rows x n x (2 + E) / 3:
-    a Jacobi sweep holds 2 + E tables of that size (see `_drunk_jacobi`)
-    where one over the full space holds 3.
+    By default the group is trivial, rows are all configurations in
+    combinations_with_replacement order (see `_config_rank`) and columns are
+    the n vertices. With `symmetric=True` the group holds the graph's
+    declared group `g.symmetries`; with `twins=True` it also holds every
+    swap of twins (see `graphs.twin_classes`), a group too large to list, and
+    there is one column per twin class. A row stands for its orbit's first
+    (lexicographically smallest) member, rows ascending: within each class
+    the cops sit on its first members, the most stacked first, and the
+    declared group then picks the least such configuration. The state cap
+    counts orbit rows x columns x (2 + E) / 3: a Jacobi sweep holds 2 + E
+    tables of that size (see `_drunk_jacobi`) where one over the full space
+    holds 3.
 
     Values are invariant under the group: if s maps a successor x' of a row
     onto the row r, the value at (x', y) is the value at (r, s(y)). So a
     successor slot holds e * m + r: it reads row r of the table with its
-    columns permuted by cols[e], one of the E group elements that some slot
-    uses (e = 0 is the identity, the only one under the trivial group).
+    columns permuted by cols[e], one of the E declared elements that some
+    slot uses (e = 0 is the identity, the only one under the trivial group).
+    Twin swaps map every class onto itself, so they permute no column.
+
+    A class column holds the value of the class's free members, which twin
+    swaps that fix the row make equal, and an occupied member's value is 0;
+    `occupied` marks the columns with no free member, which hold 0. On a
+    graph without twins every class is one vertex, and the space is the one
+    built without `twins`.
     """
 
-    def __init__(self, g: Graph, k: int, state_cap: float, symmetric: bool = False):
+    def __init__(self, g: Graph, k: int, state_cap: float, symmetric: bool = False,
+                 twins: bool = False):
         if k < 1:
             raise ValueError(f"cop count must be >= 1, got {k}")
         n = g.n
@@ -99,12 +113,26 @@ class _StateSpace:
         self.n = n
         self.k = k
         self.state_cap = state_cap
-        if order == 1:
+        self.twins = TwinColumns.of(g) if twins else None
+        self.robber = g if self.twins is None else self.twins.robber
+        self.col_group = self.group if self.twins is None else self.twins.columns(self.group)
+        if order > 1:
+            self.configs = self._successors[0]
+        elif self.twins is None:
             self.configs = list(itertools.combinations_with_replacement(range(n), k))
         else:
-            self.configs = self._successors[0]
+            self.configs = self.twins.least_configs(k)
         self.m = len(self.configs)
-        self.occupied = _occupancy(self.configs, n)
+        self.shape = (self.m, self.robber.n)
+        if self.twins is None:
+            self.occupied = _occupancy(self.configs, n)
+        else:  # and the count of free members per column
+            self.occupied, self.free = self.twins.occupancy(np.array(self.configs))
+
+    def _twin_canonical(self, cfgs: np.ndarray) -> np.ndarray:
+        """cfgs, sorted k-tuples along the last axis, each replaced by the
+        least tuple that twin swaps reach (see `TwinColumns.canonical`)."""
+        return cfgs if self.twins is None else self.twins.canonical(cfgs)
 
     @functools.cached_property
     def _successors(self) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
@@ -112,10 +140,12 @@ class _StateSpace:
         `cols`. Pieces of rows are expanded one at a time: every cop step
         from each row is listed, ranked and canonicalized in numpy, and the
         orbits not seen before become new pieces. Under the trivial group
-        every configuration is a row from the start; otherwise the search
+        every row is known from the start; otherwise the search
         starts from the all-at-0 orbit (rank 0, the least of all), so only
-        representatives are expanded."""
+        representatives are expanded. Steps to twins of one another become
+        one successor: they lie in one orbit, reached by one element."""
         n, k, group = self.n, self.k, self.group
+        columns = self.robber.n
         table = _rank_table(n, k)
         closed = [self.g.closed_neighbors(v) for v in range(n)]
         size = np.array([len(row) for row in closed])
@@ -123,7 +153,8 @@ class _StateSpace:
         seen = np.zeros(math.comb(n + k - 1, k), dtype=bool)  # by rank
         if len(group) == 1:
             seen[:] = True
-            frontier, reps = np.arange(len(seen)), np.array(self.configs, dtype=np.int64)
+            reps = np.array(self.configs, dtype=np.int64).reshape(-1, k)
+            frontier = np.arange(len(seen)) if self.twins is None else _ranks(reps, table)
         else:
             seen[0] = True
             frontier, reps = np.zeros(1, dtype=np.int64), np.zeros((1, k), dtype=np.int64)
@@ -139,6 +170,7 @@ class _StateSpace:
             # stable sorts only: numpy's default quicksort is separate code
             # that a process would otherwise page in (about 0.3 MB of RSS)
             cfgs.sort(axis=1, kind="stable")
+            cfgs = self._twin_canonical(cfgs)
             src = np.repeat(frontier, size[reps].prod(axis=1))
             # each row's distinct successors, ascending, so that a first-hit
             # argmin realizes the lexicographic tie-break
@@ -147,7 +179,7 @@ class _StateSpace:
             src, own = src[at], own[at]
             distinct = np.concatenate(([True], (src[1:] != src[:-1]) | (own[1:] != own[:-1])))
             src, at = src[distinct], at[distinct]
-            rank, elem = _canonical(cfgs[at], group, table)
+            rank, elem = _canonical(cfgs[at], group, table, self._twin_canonical)
             rows.append(src)
             ranks.append(rank)
             elems.append(elem)
@@ -159,12 +191,13 @@ class _StateSpace:
             new = ~seen[fresh]
             fresh, first = fresh[new], first[new]
             seen[fresh] = True
-            images = np.sort(group[elem[first, None], cfgs[at[first]]], axis=1, kind="stable")
+            images = self._twin_canonical(
+                np.sort(group[elem[first, None], cfgs[at[first]]], axis=1, kind="stable"))
             pending.extend(zip(_slices(fresh, width), _slices(images, width)))
             orbits += len(fresh)
-            if orbits * n > self.state_cap:
-                raise StateSpaceError(f"{orbits}+ configuration orbits x {n} robber "
-                                      f"vertices exceeds cap {self.state_cap}")
+            if orbits * columns > self.state_cap:
+                raise StateSpaceError(f"{orbits}+ configuration orbits x {columns} robber "
+                                      f"columns exceeds cap {self.state_cap}")
         rep_ranks = np.concatenate([f for f, _ in found])
         by_rank = np.argsort(rep_ranks, kind="stable")
         rep_ranks = rep_ranks[by_rank]
@@ -173,15 +206,15 @@ class _StateSpace:
         row = np.searchsorted(rep_ranks, np.concatenate(rows))
         ranks, elem = np.concatenate(ranks), np.concatenate(elems)
         used = np.flatnonzero(np.bincount(elem))  # holds 0: every row is its own successor
-        if m * n * (2 + len(used)) > 3 * self.state_cap:
+        if m * columns * (2 + len(used)) > 3 * self.state_cap:
             raise StateSpaceError(
-                f"{m} configuration orbits x {n} robber vertices x (2 + {len(used)} group "
-                f"elements) / 3 = {m * n * (2 + len(used)) // 3} states exceeds cap "
+                f"{m} configuration orbits x {columns} robber columns x (2 + {len(used)} group "
+                f"elements) / 3 = {m * columns * (2 + len(used)) // 3} states exceeds cap "
                 f"{self.state_cap}")
         slot = np.searchsorted(used, elem) * m + np.searchsorted(rep_ranks, ranks)
         count = np.bincount(row, minlength=m)
         succ = _padded_flat(slot[np.argsort(row, kind="stable")], count)
-        return configs, succ, count, group[used]
+        return configs, succ, count, self.col_group[used]
 
     @property
     def succ_padded(self) -> np.ndarray:
@@ -203,21 +236,45 @@ class _StateSpace:
     @functools.cached_property
     def stabilizers(self) -> np.ndarray:
         """(m, S) rows of `group` that map each row's configuration onto
-        itself, identity first; short rows repeat it."""
+        itself, up to twin swaps, identity first; short rows repeat it."""
         reps = np.array(self.configs)
-        fixes = [np.all(np.sort(s[reps], 1, kind="stable") == reps, 1) for s in self.group]
+        fixes = [np.all(self._twin_canonical(np.sort(s[reps], 1, kind="stable")) == reps, 1)
+                 for s in self.group]
         row, elem = np.nonzero(np.array(fixes).T)
         return _padded_flat(elem, np.bincount(row, minlength=self.m))
 
     @functools.cached_property
     def walk(self) -> np.ndarray:
-        """Cop-free robber walk matrix (n x n, rows uniform over N(v)). On one
-        vertex the robber has no step and it is the 1 x 1 zero; every state
-        is occupied there."""
+        """Cop-free robber walk matrix between the columns: rows uniform over
+        N(v), or with twin classes `TwinColumns.walk`. On one vertex the
+        robber has no step and it is the 1 x 1 zero; every state is occupied
+        there."""
+        if self.twins is not None:
+            return self.twins.walk()
         table, deg = self.g._neighbor_table(closed=False)
         walk = np.zeros((self.n, self.n))
         walk[np.arange(self.n)[:, None], table] = (1.0 / np.maximum(deg, 1))[:, None]
         return walk
+
+    @functools.cached_property
+    def smear_plan(self):
+        """`TwinColumns.smear_plan` of the rows (twin classes only)."""
+        return self.twins.smear_plan(self.walk, np.array(self.configs), self.occupied)
+
+    @functools.cached_property
+    def occupied_at(self) -> np.ndarray:
+        """Flat indices of `occupied`, few per row: cheaper to write than the mask."""
+        return np.flatnonzero(self.occupied)
+
+    @functools.cached_property
+    def capturable(self):
+        """Flat indices of the free states where a cop can step onto the
+        robber, whose value is 1 (a cop step onto a class's free member ends
+        the game, which a class column does not record); None without
+        twins, where the successor tables record it."""
+        if self.twins is None:
+            return None
+        return self.twins.capturable(np.array(self.configs), self.occupied)
 
     @functools.cached_property
     def levels(self) -> list[np.ndarray]:
@@ -244,51 +301,58 @@ def _occupancy(configs, n: int) -> np.ndarray:
     return occupied
 
 
-def _min_plan(succ: np.ndarray, count: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
-    """The plan of `_gathered_min` for padded lists succ of count entries:
-    per width class (widths in [2^i, 2^(i+1))), the first row of each
-    distinct list with the lists cut to the class's widest; then the other
+# A group of rows in the successor min reads slices of the table, not
+# gathered copies, where its rows and lists step by one together in runs of
+# at least this many table entries on average: a slice costs a call, and a
+# gather a copy of its rows.
+_RUN_ENTRIES = 4096
+
+
+def _min_plan(succ: np.ndarray, count: np.ndarray, columns: int):
+    """The plan of `_gathered_min` for padded lists succ of count entries
+    over a table `columns` wide: per width class (widths in [2^i, 2^(i+1))),
+    the first row of each distinct list with the lists cut to the class's
+    widest, and the runs `_RUN_ENTRIES` allows, or None; then the other
     rows, and the first row of their list. Equal lists are equal rows (pads
-    repeat an entry), found by stable sorts one column at a time."""
+    repeat an entry), found by stable sorts one column at a time. A run is
+    a row, one list entry per column, and a length: the rows from there on
+    read the entries from there on."""
     order = np.arange(len(succ))
     for key in (*succ.T[::-1], count):  # the last sort's key is the first
         order = order[np.argsort(key[order], kind="stable")]
     head = np.concatenate(([True], np.diff(succ[order], axis=0).any(axis=1)))
     first = order[head]
-    groups = np.split(first, np.flatnonzero(np.diff(np.frexp(count[first])[1])) + 1)
-    return ([(rows, succ[rows, :count[rows[-1]]]) for rows in groups],
-            order[~head], first[np.cumsum(head)[~head] - 1])
+    groups = []
+    for rows in np.split(first, np.flatnonzero(np.diff(np.frexp(count[first])[1])) + 1):
+        lists = succ[rows, :count[rows[-1]]]
+        keys = np.column_stack([rows, lists])
+        start = np.flatnonzero(np.concatenate(([True], (np.diff(keys, axis=0) != 1).any(axis=1))))
+        runs = None
+        if len(rows) * columns >= _RUN_ENTRIES * len(start):
+            runs = list(zip(keys[start].tolist(), np.diff(start, append=len(rows)).tolist()))
+        groups.append((rows, lists, runs))
+    return groups, order[~head], first[np.cumsum(head)[~head] - 1]
 
 
 def _gathered_min(plan, table: np.ndarray, out: np.ndarray) -> np.ndarray:
     """out[i] = entrywise min of table over the rows of list i, by the lists'
     `_min_plan`: once per distinct list, over its own entries."""
     groups, rest, src = plan
-    for rows, lists in groups:
-        low = table[lists[:, 0]]
-        for j in range(1, lists.shape[1]):
-            np.minimum(low, table[lists[:, j]], out=low)
-        out[rows] = low
+    for rows, lists, runs in groups:
+        if runs is None:
+            low = table[lists[:, 0]]
+            for j in range(1, lists.shape[1]):
+                np.minimum(low, table[lists[:, j]], out=low)
+            out[rows] = low
+            continue
+        for (row, *reads), length in runs:
+            low = out[row: row + length]
+            np.minimum(table[reads[0]: reads[0] + length], table[reads[-1]: reads[-1] + length],
+                       out=low)  # a list of one entry repeats it
+            for r in reads[1:-1]:
+                np.minimum(low, table[r: r + length], out=low)
     out[rest] = out[src]
     return out
-
-
-def _config_rank(n: int, k: int, config) -> int:
-    """Row of `config` in the lexicographic order of the sorted k-tuples of
-    range(n) (Knuth, TAOCP 4A, 7.2.1.3); KeyError if it is not one of them."""
-    cfg = as_config(config)
-    if len(cfg) != k or cfg[0] < 0 or cfg[-1] >= n:
-        raise KeyError(cfg)
-    # c_i + i is a k-subset of range(n + k - 1): count the subsets after it
-    top = n + k - 1
-    return math.comb(top, k) - 1 - sum(math.comb(top - 1 - c - i, k - i) for i, c in enumerate(cfg))
-
-
-def _state(table: np.ndarray, k: int, config, y: int) -> tuple[int, int]:
-    """Index of (config, y) in a (configurations x n) table; KeyError off it."""
-    if not 0 <= y < table.shape[1]:  # a negative y would wrap around
-        raise KeyError(y)
-    return _config_rank(table.shape[1], k, config), y
 
 
 def _rank_table(n: int, k: int) -> np.ndarray:
@@ -306,98 +370,24 @@ def _ranks(cfgs: np.ndarray, table: np.ndarray) -> np.ndarray:
     return table[0, top] - 1 - table[i, top - 1 - cfgs - i].sum(axis=-1)
 
 
-def _canonical(cfgs: np.ndarray, group: np.ndarray, table: np.ndarray):
+def _canonical(cfgs: np.ndarray, group: np.ndarray, table: np.ndarray, twins):
     """Per sorted k-tuple row of cfgs, the least rank among its images under
-    the group and the first element (row of group) that reaches it: a
-    running minimum over slices of the group, each slice gathering at most
-    max(`_SLICE_ENTRIES`, cfgs.size) entries."""
+    the group, each image first put into the form `twins` gives (the least
+    that twin swaps reach), and the first element (row of group) that
+    reaches it: a running minimum over slices of the group, each slice
+    gathering at most max(`_SLICE_ENTRIES`, cfgs.size) entries."""
     best = np.full(len(cfgs), np.iinfo(np.int64).max)
     elem = np.zeros(len(cfgs), dtype=np.int64)
     step = max(1, _SLICE_ENTRIES // cfgs.size)
     for lo in range(0, len(group), step):
-        ranks = _ranks(np.sort(group[lo: lo + step][:, cfgs], axis=-1, kind="stable"), table)
+        images = np.sort(group[lo: lo + step][:, cfgs], axis=-1, kind="stable")
+        ranks = _ranks(twins(images), table)
         first = ranks.argmin(axis=0)
         low = ranks[first, np.arange(len(cfgs))]
         better = low < best
         best[better] = low[better]
         elem[better] = lo + first[better]
     return best, elem
-
-
-class ValueTable:
-    """Map from (cop configuration, robber vertex) to a game value.
-
-    `kind` records which game the values belong to: "adversarial" and
-    "adversarial-robber" hold minimax round counts (math.inf on robber-win
-    states), "drunk" holds expected capture times.
-    """
-
-    def __init__(self, kind: str, k: int, configs, values: np.ndarray):
-        self.kind = kind
-        self.k = k
-        self.configs = configs
-        self.values = values
-
-    def value(self, config, y: int) -> float:
-        return float(self.values[_state(self.values, self.k, config, y)])
-
-    def __getitem__(self, key) -> float:
-        config, y = key
-        return self.value(config, y)
-
-    def config_means(self) -> np.ndarray:
-        return self.values.mean(axis=1)
-
-    def to_csv(self, sink: TextIO) -> None:
-        cols = [f"x{i + 1}" for i in range(self.k)]
-        sink.write(",".join(cols + ["y", "value"]) + "\n")
-        for cfg, row in zip(self.configs, self.values):
-            prefix = ",".join(str(v) for v in cfg)
-            for y, val in enumerate(row):
-                text = "inf" if math.isinf(val) else repr(float(val))
-                sink.write(f"{prefix},{y},{text}\n")
-
-
-class FeedbackPolicy:
-    """Deterministic cop move per state: (configuration, robber) -> successor
-    configuration. Undefined states (robber-win regions) map to None."""
-
-    def __init__(self, k: int, configs, successor_idx: np.ndarray):
-        self.k = k
-        self.configs = configs
-        self.successor_idx = successor_idx
-
-    def successor(self, config, y: int):
-        idx = self.successor_idx[_state(self.successor_idx, self.k, config, y)]
-        return None if idx < 0 else self.configs[idx]
-
-    def undefined_count(self) -> int:
-        return int((self.successor_idx < 0).sum())
-
-    def to_csv(self, sink: TextIO) -> None:
-        cols = [f"x{i + 1}" for i in range(self.k)]
-        ucols = [f"u{i + 1}" for i in range(self.k)]
-        sink.write(",".join(cols + ["y"] + ucols) + "\n")
-        for cfg, row in zip(self.configs, self.successor_idx):
-            prefix = ",".join(str(v) for v in cfg)
-            for y, idx in enumerate(row):
-                if idx < 0:
-                    tail = ",".join("-" for _ in range(self.k))
-                else:
-                    tail = ",".join(str(v) for v in self.configs[idx])
-                sink.write(f"{prefix},{y},{tail}\n")
-
-
-class RobberPolicy:
-    """Adversarial robber move per state: (configuration, robber) -> vertex."""
-
-    def __init__(self, k: int, configs, target: np.ndarray):
-        self.k = k
-        self.configs = configs
-        self.target = target
-
-    def successor(self, config, y: int) -> int:
-        return int(self.target[_state(self.target, self.k, config, y)])
 
 
 @dataclass(frozen=True)
@@ -497,12 +487,16 @@ def _retrograde(space: _StateSpace) -> tuple[np.ndarray, int]:
     On a quotient, cop steps being symmetric, (r, z) is one step from
     (q, cols[e][z]) for each slot e * m + q of row r; and (q, w) is decided
     with (q, s(w)) for each s in row q's stabilizer (see `_StateSpace`).
+    With twin classes a column z is a class, and a counter counts the
+    robber's distinct class moves (the robber's graph is the twin quotient).
+    A cop step onto a free twin of the robber's vertex leaves no trace in the
+    slots, so the layer 0 pass decides the capturable states at 1.
     """
-    m, n = space.m, space.n
+    m, n = space.shape
     occupied = space.occupied.ravel()
     C = np.full(m * n, np.inf)
     C[occupied] = 0.0
-    nbrs, size = space.g._neighbor_table(closed=True)
+    nbrs, size = space.robber._neighbor_table(closed=True)
     # occupied robber states start decided at 0; decrements only take them
     # further below 0, so they never reach 0 again
     count = np.tile(size.astype(np.int32), m)
@@ -522,6 +516,9 @@ def _retrograde(space: _StateSpace) -> tuple[np.ndarray, int]:
             # a counter at 0 is never decremented again: free as scratch
             robber.append(_distinct(pred[count[pred] == 0], count))
         cop = [frontier[:0]]
+        if t == 0 and space.capturable is not None:
+            cop.append(space.capturable)
+            C[cop[-1]] = 1.0
         for r in _slices(np.concatenate(robber), succ.shape[1]):
             x, y = np.divmod(r, n)
             if len(perms) == 1:  # pads repeat an entry
@@ -532,7 +529,7 @@ def _retrograde(space: _StateSpace) -> tuple[np.ndarray, int]:
             pred = pred[C[pred] == np.inf]
             if stab is not None:
                 q, w = np.divmod(pred, n)
-                pred = (q[:, None] * n + space.group[stab[q], w[:, None]]).ravel()
+                pred = (q[:, None] * n + space.col_group[stab[q], w[:, None]]).ravel()
             pred = _distinct(pred, C)  # scratch until set
             C[pred] = t + 1
             cop.append(pred)
@@ -601,9 +598,10 @@ def capture_time(g: Graph, k: int, state_cap: int = DEFAULT_STATE_CAP) -> float:
 
 def _adversarial_start(g: Graph, k: int, state_cap: int = DEFAULT_STATE_CAP):
     """The optimal start and capture time of `solve_adversarial` by
-    `_retrograde` on the symmetry quotient, with no robber table or policy:
-    worst values are constant on orbits, whose first members are the rows."""
-    space = _StateSpace(g, k, state_cap, symmetric=True)
+    `_retrograde` on the quotient by the declared group and twin swaps, with
+    no robber table or policy: worst values are constant on orbits, whose
+    first members are the rows."""
+    space = _StateSpace(g, k, state_cap, symmetric=True, twins=True)
     worst = _retrograde(space)[0].max(axis=1)
     best = int(worst.argmin())
     return space.configs[best], float(worst[best])
@@ -638,26 +636,32 @@ def solve_drunk(
 def _drunk_table(g: Graph, k: int, opts: SolveOptions, state_cap: float, symmetric: bool = False):
     """The state space, drunk table and SweepStats of every drunk solve, by
     `opts.scheme`. With `symmetric`, Jacobi runs on the quotient by the
-    graph's declared group (see `_StateSpace`); Gauss-Seidel always runs on
-    the full space. On one vertex the cops start on the robber: the table is
-    the 1 x 1 zero, and no sweep runs."""
-    space = _StateSpace(g, k, state_cap, symmetric and opts.scheme == "jacobi")
+    graph's declared group and twin swaps (see `_StateSpace`); Gauss-Seidel
+    always runs on the full space. On one vertex the cops start on the
+    robber: the table is the 1 x 1 zero, and no sweep runs."""
+    quotient = symmetric and opts.scheme == "jacobi"
+    space = _StateSpace(g, k, state_cap, quotient, quotient)
     if g.n == 1:
         return space, np.zeros((1, 1)), SweepStats(0, 0.0, 0.0, 0.0)
     solve = _drunk_jacobi if opts.scheme == "jacobi" else _drunk_gauss_seidel
     return (space, *solve(space, opts))
 
 
-def _smeared(space: _StateSpace, C: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _smeared(space: _StateSpace, C: np.ndarray, out: np.ndarray, scratch=None) -> np.ndarray:
     """out[c, y] = expected next value at config c after the robber steps
     from y, with capture contributing zero.
 
     Equals the substochastic cop-modified walk applied to row c: the columns
     at cop vertices contribute nothing because the table is zero there, and
-    the cop-occupied rows are masked out explicitly.
+    the cop-occupied rows are masked out explicitly. With twin classes see
+    `TwinColumns.smear`, which may read `scratch`, a table like out. All
+    three are C-contiguous.
     """
-    np.matmul(C, space.walk.T, out=out)
-    out[space.occupied] = 0.0
+    if space.twins is None:
+        np.matmul(C, space.walk.T, out=out)
+    else:
+        space.twins.smear(space.walk, space.smear_plan, C, out, scratch)
+    out.reshape(-1)[space.occupied_at] = 0.0
     return out
 
 
@@ -666,19 +670,24 @@ def _drunk_jacobi(space: _StateSpace, opts: SolveOptions):
     sweep smears the table into stack[0] and copies it once per other group
     element e that a slot uses, with its columns permuted by cols[e], so
     that every slot e * m + r stays a plain row gather of the stack. Under
-    the trivial group the stack is the smear alone."""
+    the trivial group the stack is the smear alone. With twin classes the
+    capturable states are set to 1 (see `_StateSpace.capturable`)."""
     cols = space.cols
-    stack = np.empty((len(cols), space.m, space.n))
-    plan = _min_plan(space.succ_padded, space.succ_count)
+    stack = np.empty((len(cols), *space.shape))
+    plan = _min_plan(space.succ_padded, space.succ_count, space.shape[1])
+    scratch = None if space.twins is None or space.smear_plan[0] is None else np.empty(space.shape)
 
     def step(C, out):
-        _smeared(space, C, stack[0])
+        _smeared(space, C, stack[0], scratch)
         for e in range(1, len(cols)):
             # mode="clip": with the default "raise", take fills `out` through a buffer
             np.take(stack[0], cols[e], axis=1, out=stack[e], mode="clip")
-        _gathered_min(plan, stack.reshape(-1, space.n), out)
+        _gathered_min(plan, stack.reshape(-1, space.shape[1]), out)
         out += 1.0
-        out[space.occupied] = 0.0
+        flat = out.reshape(-1)
+        if space.capturable is not None:
+            flat[space.capturable] = 1.0
+        flat[space.occupied_at] = 0.0
 
     return _sweeps(space, step, opts)
 
@@ -689,7 +698,7 @@ def _sweeps(space: _StateSpace, step, opts: SolveOptions):
     SweepStats. `step(C, out)` writes the next table into out (1 + the
     successor reduction, 0 on occupied states), reading the previous table
     C and, under Gauss-Seidel, the rows of out it has already written."""
-    C = np.zeros((space.m, space.n))
+    C = np.zeros(space.shape)
     C_new = np.empty_like(C)
     min_increment = math.inf
     for sweep in range(1, opts.max_sweeps + 1):
@@ -776,14 +785,15 @@ def _drunk_start(
     Jacobi runs on the quotient by the graph's declared group, whose cap
     counts orbit rows and the table copies they need (see `_StateSpace`).
     The start is the first member of the first orbit whose mean is within
-    `_near_min` of the least. On graphs of maximum degree 2 (paths, cycles)
+    `_near_min` of the least; a row's mean weighs each class column by its
+    free members. On twin-free graphs of maximum degree 2 (paths, cycles)
     the quotient rows equal the full table's bit for bit; elsewhere they
     differ from it in the last bits, because the smear sums in another order.
     """
     if opts is None:
         opts = SolveOptions()
     space, C, stats = _drunk_table(g, k, opts, state_cap, symmetric=True)
-    means = C.mean(axis=1)
+    means = C.mean(axis=1) if space.twins is None else (C * space.free).sum(axis=1) / g.n
     return space.configs[_near_min(means)], float(means.min()), stats
 
 

@@ -172,11 +172,17 @@ def lift_quotient(q, C):
     """The full (configurations x n) table of a table C over the rows of a
     symmetric `solver._StateSpace` q. Row x is C's row r for x's orbit with
     its columns permuted by the group element s that maps x onto r's
-    configuration: the value at (x, y) is the value at (s(x), s(y))."""
+    configuration: the value at (x, y) is the value at (s(x), s(y)). With
+    twin classes (`q.twins`), s(y) is read at its class's column, and the
+    vertices of x read 0."""
     table = solver._rank_table(q.n, q.k)
     configs = np.array(list(itertools.combinations_with_replacement(range(q.n), q.k)))
-    ranks, elems = solver._canonical(configs, q.group, table)
+    ranks, elems = solver._canonical(configs, q.group, table, q._twin_canonical)
     rows = np.searchsorted(solver._ranks(np.array(q.configs), table), ranks)
-    images = np.sort(q.group[elems[:, None], configs], axis=1)
+    images = q._twin_canonical(np.sort(q.group[elems[:, None], configs], axis=1))
     assert np.array_equal(images, np.array(q.configs)[rows])  # s(x) is row r
-    return C[rows[:, None], q.group[elems]]
+    if q.twins is None:
+        return C[rows[:, None], q.group[elems]]
+    lifted = C[rows[:, None], q.col_group[elems][:, q.twins.label]]
+    lifted[solver._occupancy(configs, q.n)] = 0.0
+    return lifted

@@ -154,6 +154,29 @@ def test_family_input_outside_the_generators_exit_2(capsys, c):
                                 or "finite and nonnegative" in row["error"])
 
 
+def test_edge_cap_exits_2(capsys, monkeypatch):
+    # B(10, 1000) would list about 10^8 edges; the cap, checked from the
+    # edge count's formula, rejects it before any is listed
+    code, _, err = run_cli(capsys, "ct", "--family", "barbell", "--n", "10", "--c", "1000")
+    assert code == 2 and err.startswith("error:") and "edges" in err
+    monkeypatch.setattr(cc.graphs, "MAX_GENERATED_EDGES", 50)  # B(10, 1) has 99
+    code, _, err = run_cli(capsys, "dct", "--family", "barbell", "--n", "10", "--c", "1")
+    assert code == 2 and err == "error: barbell(10, 1.0) would have more than 50 edges\n"
+    code, _, _ = run_cli(capsys, "ct", "--family", "barbell", "--n", "10", "--c", "0.5")
+    assert code == 0
+
+
+@pytest.mark.parametrize("message", ["", "cannot allocate 8 GiB"])
+def test_memory_error_exits_3(capsys, monkeypatch, message):
+    def exhausted(args):
+        raise MemoryError(message) if message else MemoryError
+
+    monkeypatch.setattr(cc.cli, "_cmd_dct", exhausted)
+    code, out, err = run_cli(capsys, "dct", "--family", "path", "--n", "5")
+    assert code == 3 and out == ""
+    assert err == f"error: out of memory{': ' + message if message else ''}\n"
+
+
 def test_console_script_exit_codes():
     # `copchase.cli:run`, the installed console script, in a fresh process:
     # its sys.exit carries main's exit code, and an input error prints no

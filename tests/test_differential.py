@@ -18,12 +18,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import copchase as cc
-from copchase import solver
+from copchase import lumping, solver
 from copchase.chain import MASS_TOL
-from copchase.solver import (SolveOptions, SweepStats, _config_rank, _drunk_start, _near_min,
-                             _StateSpace)
+from copchase.solver import SolveOptions, SweepStats, _drunk_start, _near_min, _StateSpace
+from copchase.tables import _config_rank
 
-from conftest import exact_drunk_values, lift_quotient, padded_min, random_connected_graph
+from conftest import (exact_drunk_values, lift_quotient, minimax_capture_value, padded_min,
+                      random_connected_graph)
 
 # derandomized: every run draws the same examples
 SETTINGS = settings(max_examples=60, derandomize=True, database=None, deadline=None)
@@ -185,9 +186,10 @@ def assert_gathered_min_matches_padded(g, k, seed=0):
         space = _StateSpace(g, k, math.inf, symmetric=symmetric)
         table = np.random.default_rng(seed).random((len(space.cols) * space.m, space.n))
         padded = padded_min(space.succ_padded, table, np.empty((space.m, space.n)))
-        plan = solver._min_plan(space.succ_padded, space.succ_count)
-        listed = solver._gathered_min(plan, table, np.full((space.m, space.n), np.nan))
-        assert np.array_equal(listed, padded)
+        for columns in (0, 10**9):  # gathered rows, then runs of slices wherever any
+            plan = solver._min_plan(space.succ_padded, space.succ_count, columns)
+            listed = solver._gathered_min(plan, table, np.full((space.m, space.n), np.nan))
+            assert np.array_equal(listed, padded)
 
 
 @SETTINGS
@@ -443,6 +445,159 @@ def test_quotient_lifts_to_the_full_jacobi_table(name, g, k, tolerance):
         assert np.abs(lifted - full.values.values).max() <= 1e-12 * full.values.values.max()
     means = full.values.config_means()
     assert _drunk_start(g, k, opts)[1] == pytest.approx(means.min(), rel=1e-12)
+
+
+@st.composite
+def twin_instances(draw):
+    """Seeded relabeled graphs of 2 to 8 vertices with twins, and 1 or 2
+    cops: a random connected graph on 1 to 5 vertices to which each new
+    vertex joins as an open or closed twin of an existing one, or a small
+    family member with twins and its declared group."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 5))
+        base = (random_connected_graph(draw(st.integers(0, 2**31 - 1)), n,
+                                       draw(st.sampled_from([0.1, 0.3, 0.6])))
+                if n > 1 else cc.path(1))
+        adj = [set(base.neighbors(v)) for v in range(n)]
+        for _ in range(draw(st.integers(1, 8 - n))):
+            v = draw(st.integers(0, len(adj) - 1))
+            nbrs = adj[v] | ({v} if draw(st.booleans()) or not adj[v] else set())
+            for u in nbrs:
+                adj[u].add(len(adj))
+            adj.append(nbrs)
+        g = cc.Graph(len(adj), [(u, v) for u, nbrs in enumerate(adj) for v in nbrs if u < v])
+    else:
+        g = draw(st.sampled_from(TWIN_FAMILIES))
+    return cc.relabel(g, draw(st.permutations(range(g.n)))), draw(st.integers(1, 2))
+
+
+TWIN_FAMILIES = [cc.path(2), cc.path(3), cc.cycle(4), cc.grid(2), cc.complete_tree(2, 2),
+                 cc.complete_tree(3, 1), cc.barbell(2, 1.5), cc.barbell(3, 1.0),
+                 cc.lollipop(4, 0.75), cc.lollipop(5, 0.6)]
+
+
+def lumped_space(g, k):
+    q = _StateSpace(g, k, math.inf, symmetric=True, twins=True)
+    assert q.twins is not None  # the instance has twins
+    return q
+
+
+@SETTINGS
+@given(twin_instances())
+def test_lumped_retrograde_matches_unlumped_and_minimax(instance):
+    g, k = instance
+    q = lumped_space(g, k)
+    C, _ = solver._retrograde(q)
+    full = cc.solve_adversarial(g, k)
+    assert np.array_equal(lift_quotient(q, C), full.cop_values.values)
+    unlumped = _StateSpace(g, k, math.inf, symmetric=True)
+    worst = solver._retrograde(unlumped)[0].max(axis=1)
+    start, ct = solver._adversarial_start(g, k)
+    assert (start, ct) == (unlumped.configs[int(worst.argmin())], worst.min())
+    assert (start, ct) == full.optimal_start()
+    if k == 1:  # the game-tree oracle moves one cop
+        memo = {}
+        horizon = g.n + 1
+        assert ct == min(max(minimax_capture_value(g, x, y, horizon, memo) for y in range(g.n))
+                         for x in range(g.n))
+
+
+@pytest.mark.parametrize("gather_share", [0.0, 1.0])  # the dense smear, then the gather-add
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(twin_instances())
+def test_lumped_jacobi_matches_exact_values(gather_share, instance):
+    g, k = instance
+    opts = SolveOptions(scheme="jacobi", tolerance=1e-300, max_sweeps=10**4)
+    q = lumped_space(g, k)
+    with mock.patch.object(lumping, "GATHER_SHARE", gather_share):
+        assert (q.smear_plan[0] is None) == (gather_share == 0.0)
+    C, _ = solver._drunk_jacobi(q, opts)
+    V, rounds = exact_drunk_values(g, k, cc.solve_drunk(g, k, opts).policy.successor_idx)
+    assert rounds == 0
+    exact = np.array(V, dtype=float)
+    assert np.all(np.abs(lift_quotient(q, C) - exact) <= 1e-14 * exact)
+    means = [sum(row) / g.n for row in V]
+    configs = list(itertools.combinations_with_replacement(range(g.n), k))
+    start, dct, _ = _drunk_start(g, k, opts)
+    assert abs(dct - float(min(means))) <= 1e-14 * float(min(means))
+    assert start == min(cfg for cfg, mean in zip(configs, means) if mean == min(means))
+
+
+def orbit_minima(g, k):
+    """The least member of each orbit of k-cop configurations under the
+    declared group and every swap of twins, by closing each orbit under the
+    group's rows and the swaps of twins next in their class."""
+    label = cc.graphs.twin_classes(g).tolist()
+    members = {}
+    for v, cls in enumerate(label):
+        members.setdefault(cls, []).append(v)
+    moves = [s.tolist() for s in g.symmetries]
+    for group in members.values():
+        for u, v in zip(group, group[1:]):
+            swap = list(range(g.n))
+            swap[u], swap[v] = v, u
+            moves.append(swap)
+    least, seen = [], set()
+    for cfg in itertools.combinations_with_replacement(range(g.n), k):
+        if cfg in seen:
+            continue
+        orbit, todo = {cfg}, [cfg]
+        while todo:
+            x = todo.pop()
+            for s in moves:
+                y = tuple(sorted(s[v] for v in x))
+                if y not in orbit:
+                    orbit.add(y)
+                    todo.append(y)
+        seen |= orbit
+        least.append(min(orbit))
+    return sorted(least)
+
+
+@pytest.mark.parametrize("g", TWIN_FAMILIES + [cc.relabel(g, np.random.default_rng(i).permutation(
+    g.n).tolist()) for i, g in enumerate(TWIN_FAMILIES)], ids=lambda g: repr(g))
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_lumped_rows_are_the_least_members_of_their_orbits(g, k):
+    assert lumped_space(g, k).configs == orbit_minima(g, k)
+
+
+LUMPED_NAMED = {
+    "B10-k2": (cc.barbell(10, 1.0), 2), "L20-k2": (cc.lollipop(20, 0.41), 2),
+    "B20": (cc.barbell(20, 0.4), 1), "T(2,4)": (cc.complete_tree(2, 4), 1),
+    "T(3,3)": (cc.complete_tree(3, 3), 1), "L150": (cc.lollipop(150, 0.6), 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LUMPED_NAMED))
+def test_lumped_quotient_lifts_to_the_full_tables(name):
+    g, k = LUMPED_NAMED[name]
+    q = lumped_space(g, k)
+    full = cc.solve_adversarial(g, k)
+    assert np.array_equal(lift_quotient(q, solver._retrograde(q)[0]), full.cop_values.values)
+    drunk = cc.solve_drunk(g, k)
+    C, stats = solver._drunk_jacobi(q, SolveOptions())
+    lifted = lift_quotient(q, C)
+    assert np.abs(lifted - drunk.values.values).max() <= 1e-12 * drunk.values.values.max()
+    assert stats.sweeps == drunk.stats.sweeps
+    assert _drunk_start(g, k)[0] == drunk.optimal_start()[0]
+
+
+@SETTINGS
+@given(exact_instances())
+def test_twin_free_spaces_are_the_unlumped_ones(instance):
+    # without twins, asking for them changes no table, stat or start
+    g, k = instance
+    if cc.graphs.twin_classes(g).max() < g.n - 1:
+        return
+    opts = SolveOptions(scheme="jacobi", tolerance=1e-300)
+    q = _StateSpace(g, k, math.inf, symmetric=True, twins=True)
+    unlumped = _StateSpace(g, k, math.inf, symmetric=True)
+    assert q.twins is None and q.configs == unlumped.configs
+    assert np.array_equal(solver._retrograde(q)[0], solver._retrograde(unlumped)[0])
+    C, stats = solver._drunk_jacobi(q, opts)
+    C_unlumped, stats_unlumped = solver._drunk_jacobi(unlumped, opts)
+    assert np.array_equal(C, C_unlumped) and stats == stats_unlumped
+    assert _drunk_start(g, k, opts)[0] == unlumped.configs[_near_min(C_unlumped.mean(axis=1))]
 
 
 def loop_base_transition(g):

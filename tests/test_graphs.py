@@ -301,3 +301,107 @@ def test_relabel_conjugates_the_group():
         assert {tuple(t) for t in h.symmetries.tolist()} == expected
         assert h.symmetries[0].tolist() == list(range(g.n))
         assert {tuple(t) for t in h.symmetries.tolist()} <= automorphisms(h)
+
+
+def brute_twin_classes(g):
+    """Twin classes by comparing every pair's open and closed neighbourhoods,
+    numbered in the order of their least members."""
+    label = list(range(g.n))
+    for v in range(g.n):
+        for u in range(v):
+            if (g.neighbors(u) == g.neighbors(v)
+                    or g.closed_neighbors(u) == g.closed_neighbors(v)):
+                label[v] = label[u]
+                break
+    first = sorted(set(label))
+    return [first.index(c) for c in label]
+
+
+TWIN_CASES = [
+    ("P1", cc.path(1), [0]),
+    ("P2", cc.path(2), [0, 0]),  # closed twins
+    ("P3", cc.path(3), [0, 1, 0]),  # open twins: the ends
+    ("star", cc.complete_tree(3, 1), [0, 1, 1, 1]),  # open twins: the leaves
+    ("C4", cc.cycle(4), [0, 1, 0, 1]),
+    ("K4", complete_graph(4), [0, 0, 0, 0]),
+    ("B4,0.5", cc.barbell(4, 0.5), [0, 1, 2, 3, 4, 5]),  # pendant clique mates: no twins
+    ("B3,1", cc.barbell(3, 1.0), [0, 1, 2, 3, 3, 4, 4]),  # the cliques' extra vertices
+    ("L4,0.75", cc.lollipop(4, 0.75), [0, 1, 2, 3, 4, 4]),
+]
+
+
+@pytest.mark.parametrize("name,g,label", TWIN_CASES, ids=[c[0] for c in TWIN_CASES])
+def test_twin_classes_small(name, g, label):
+    assert cc.graphs.twin_classes(g).tolist() == label == brute_twin_classes(g)
+
+
+@pytest.mark.parametrize("g, n, classes", [
+    (cc.complete_tree(2, 6), 127, 95),  # sibling leaves pair up
+    (cc.barbell(100, 1.0), 298, 102),   # each clique's 99 extra vertices
+    (cc.lollipop(150, 0.6), 239, 151),
+], ids=["T(2,6)", "B(100,1)", "L(150,0.6)"])
+def test_twin_class_counts(g, n, classes):
+    label = cc.graphs.twin_classes(g)
+    assert g.n == n and label.max() + 1 == classes
+    assert label.tolist() == brute_twin_classes(g)
+
+
+def test_twin_classes_of_relabeled_graphs():
+    # relabeling maps classes onto classes, and swapping two twins is an
+    # automorphism
+    for seed, g in enumerate([cc.barbell(6, 0.5), cc.barbell(5, 1.0), cc.lollipop(7, 0.6),
+                              cc.lollipop(5, 1.0), cc.complete_tree(2, 3)]):
+        perm = np.random.default_rng(seed).permutation(g.n).tolist()
+        h = cc.relabel(g, perm)
+        label, relabeled = cc.graphs.twin_classes(g), cc.graphs.twin_classes(h)
+        assert relabeled.tolist() == brute_twin_classes(h)
+        assert label.max() == relabeled.max() < g.n - 1
+        for u, v in itertools.combinations(range(g.n), 2):
+            assert (label[u] == label[v]) == (relabeled[perm[u]] == relabeled[perm[v]])
+        symmetric = automorphisms(h)
+        for u, v in itertools.combinations(range(h.n), 2):
+            if relabeled[u] == relabeled[v]:
+                swap = list(range(h.n))
+                swap[u], swap[v] = v, u
+                assert tuple(swap) in symmetric
+
+
+def test_asymmetric_graph_has_no_twins():
+    g = random_connected_graph(5, 10, 0.3)
+    assert len(automorphisms(g)) == 1  # twins would give a swap
+    assert cc.graphs.twin_classes(g).tolist() == list(range(g.n))
+
+
+@pytest.mark.parametrize("name,g,label", TWIN_CASES, ids=[c[0] for c in TWIN_CASES])
+def test_twin_quotient_edges(name, g, label):
+    q = cc.graphs.twin_quotient(g, np.array(label))
+    assert q.n == max(label) + 1
+    assert q.edges() == sorted({(min(label[u], label[v]), max(label[u], label[v]))
+                                for u, v in g.edges() if label[u] != label[v]})
+
+
+@pytest.mark.parametrize("build", [
+    lambda: cc.barbell(10, 1.0), lambda: cc.lollipop(12, 1.0), lambda: cc.path(60),
+    lambda: cc.cycle(60), lambda: cc.complete_tree(2, 6), lambda: cc.grid(6),
+], ids=["barbell", "lollipop", "path", "cycle", "tree", "grid"])
+def test_edge_cap_holds_before_edges_are_listed(build, monkeypatch):
+    # the edge count comes from a formula: no Graph is built
+    monkeypatch.setattr(cc.graphs, "MAX_GENERATED_EDGES", 50)
+    real = cc.graphs.Graph
+
+    def unbuilt(n, edges):
+        if n > 8:  # the grid's factors, P6, are built first
+            raise AssertionError("edges were listed")
+        return real(n, edges)
+
+    monkeypatch.setattr(cc.graphs, "Graph", unbuilt)
+    with pytest.raises(GraphError, match="more than 50 edges"):
+        build()
+
+
+def test_edge_cap_admits_the_graphs_under_it(monkeypatch):
+    monkeypatch.setattr(cc.graphs, "MAX_GENERATED_EDGES", 50)
+    assert cc.barbell(10, 0.5).edge_count() == 9 + 2 * 10
+    assert cc.lollipop(10, 0.9).edge_count() == 9 + 36
+    assert cc.path(51).edge_count() == 50
+    assert cc.cycle(50).edge_count() == 50
