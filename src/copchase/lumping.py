@@ -21,10 +21,6 @@ import numpy as np
 
 from .graphs import Graph, _padded_flat, twin_classes, twin_quotient
 
-# The lumped walk is applied as a gather-add over its nonzeros where no row
-# has more of them than this share of the columns, else as a dense product.
-GATHER_SHARE = 0.125
-
 
 class TwinColumns:
     """The twin classes of g, given as a `graphs.twin_classes` label with at
@@ -103,25 +99,22 @@ class TwinColumns:
         return walk / deg[reps][:, None]
 
     def smear_plan(self, walk: np.ndarray, cfgs: np.ndarray, occupied: np.ndarray):
-        """What `smear` reads besides the walk: the walk as padded
-        (width x columns) class and weight tables where no row has over
-        `GATHER_SHARE` of its entries nonzero, else None (the dense product
-        is faster); and per cop slot i, the flat indices of the states of
-        the rows cfgs (occupied: their `occupied` mask) whose robber
-        neighbours the row's i-th cop, the flat index of that cop's class
-        column, and the weight 1 / deg of the robber's vertex. Only a cop in
+        """What `smear` reads: the walk as padded (width x columns) class
+        and weight tables over its nonzeros; and per cop slot i, the flat
+        indices of the states of the rows cfgs (occupied: their `occupied`
+        mask) whose robber neighbours the row's i-th cop, the flat index of
+        that cop's class column, and the weight 1 / deg of the robber's
+        vertex. Only a cop in
         a class that keeps free members counts, each vertex once, and not
         for the robber on a twin of the cop: every state one cop step before
         such a state is capturable, and reads no smear."""
         columns = len(walk)
         rows, cols = np.nonzero(walk)
         count = np.bincount(rows, minlength=columns)
-        gather = None
-        if count.max() <= GATHER_SHARE * columns:
-            cols = _padded_flat(cols, count)
-            weight = walk[np.arange(columns)[:, None], cols]
-            weight[np.arange(cols.shape[1]) >= count[:, None]] = 0.0  # pads add nothing
-            gather = cols.T.copy(), weight.T.copy()  # contiguous rows read faster
+        cols = _padded_flat(cols, count)
+        weight = walk[np.arange(columns)[:, None], cols]
+        weight[np.arange(cols.shape[1]) >= count[:, None]] = 0.0  # pads add nothing
+        gather = cols.T.copy(), weight.T.copy()  # contiguous rows read faster
         table, size = self.robber._neighbor_table(closed=False)
         inv_deg = 1.0 / self.g._neighbor_table(closed=False)[1][self.members[self.first]]
         corrections = []
@@ -138,24 +131,20 @@ class TwinColumns:
             corrections.append((row * columns + dst, row * columns + src, inv_deg[dst]))
         return gather, corrections
 
-    def smear(self, walk: np.ndarray, plan, C: np.ndarray, out: np.ndarray, scratch) -> None:
-        """out = the smear of the class table C by `walk` and its
-        `smear_plan`, before the occupied columns are zeroed: C times the
-        walk's transpose, which counts every member of a class at the
-        class's free value, minus the members a cop occupies, a rank-k
-        correction. A gather-add reads `scratch`, a table like out."""
-        gather, corrections = plan
-        if gather is None:
-            np.matmul(C, walk.T, out=out)
-        else:
-            cols, weight = gather
-            # mode="clip": with the default "raise", take fills `out` through a buffer
-            np.take(C, cols[0], axis=1, out=out, mode="clip")
-            out *= weight[0]
-            for idx, w in zip(cols[1:], weight[1:]):
-                np.take(C, idx, axis=1, out=scratch, mode="clip")
-                scratch *= w
-                out += scratch
+    def smear(self, plan, C: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+        """out = the smear of the class table C by the walk's `smear_plan`,
+        before the occupied columns are zeroed: C times the walk's
+        transpose, a gather-add over its nonzeros through `scratch`, a table
+        like out, which counts every member of a class at the class's free
+        value; minus the members a cop occupies, a rank-k correction."""
+        (cols, weight), corrections = plan
+        # mode="clip": with the default "raise", take fills `out` through a buffer
+        np.take(C, cols[0], axis=1, out=out, mode="clip")
+        out *= weight[0]
+        for idx, w in zip(cols[1:], weight[1:]):
+            np.take(C, idx, axis=1, out=scratch, mode="clip")
+            scratch *= w
+            out += scratch
         flat, values = out.reshape(-1), C.reshape(-1)
         for dst, src, weight in corrections:  # distinct dst within a slot
             flat[dst] -= values[src] * weight

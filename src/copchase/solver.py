@@ -71,15 +71,16 @@ class _StateSpace:
     By default the group is trivial, rows are all configurations in
     combinations_with_replacement order (see `_config_rank`) and columns are
     the n vertices. With `symmetric=True` the group holds the graph's
-    declared group `g.symmetries`; with `twins=True` it also holds every
-    swap of twins (see `graphs.twin_classes`), a group too large to list, and
-    there is one column per twin class. A row stands for its orbit's first
+    declared group `g.symmetries` and every swap of twins (see
+    `graphs.twin_classes`), a group too large to list, and there is one
+    column per twin class. A row stands for its orbit's first
     (lexicographically smallest) member, rows ascending: within each class
     the cops sit on its first members, the most stacked first, and the
     declared group then picks the least such configuration. The state cap
     counts orbit rows x columns x (2 + E) / 3: a Jacobi sweep holds 2 + E
     tables of that size (see `_drunk_jacobi`) where one over the full space
-    holds 3.
+    holds 3. Before any row is built it also bounds configurations x n /
+    (declared group order), which counts every vertex, twins included.
 
     Values are invariant under the group: if s maps a successor x' of a row
     onto the row r, the value at (x', y) is the value at (r, s(y)). So a
@@ -91,12 +92,11 @@ class _StateSpace:
     A class column holds the value of the class's free members, which twin
     swaps that fix the row make equal, and an occupied member's value is 0;
     `occupied` marks the columns with no free member, which hold 0. On a
-    graph without twins every class is one vertex, and the space is the one
-    built without `twins`.
+    graph without twins every class is one vertex: `twins` is None and the
+    columns are the vertices.
     """
 
-    def __init__(self, g: Graph, k: int, state_cap: float, symmetric: bool = False,
-                 twins: bool = False):
+    def __init__(self, g: Graph, k: int, state_cap: float, symmetric: bool = False):
         if k < 1:
             raise ValueError(f"cop count must be >= 1, got {k}")
         n = g.n
@@ -113,7 +113,7 @@ class _StateSpace:
         self.n = n
         self.k = k
         self.state_cap = state_cap
-        self.twins = TwinColumns.of(g) if twins else None
+        self.twins = TwinColumns.of(g) if symmetric else None
         self.robber = g if self.twins is None else self.twins.robber
         self.col_group = self.group if self.twins is None else self.twins.columns(self.group)
         if order > 1:
@@ -304,8 +304,16 @@ def _occupancy(configs, n: int) -> np.ndarray:
 # A group of rows in the successor min reads slices of the table, not
 # gathered copies, where its rows and lists step by one together in runs of
 # at least this many table entries on average: a slice costs a call, and a
-# gather a copy of its rows.
-_RUN_ENTRIES = 4096
+# gather a copy of its rows. Timed on cycles, paths, barbells, lollipops and
+# trees (one thread, 2-core x86 VM), slices lost up to 760 entries per run
+# (T(2,8)) and won from 1040 on (B(100,1)).
+_RUN_ENTRIES = 1024
+
+# Other groups gather pieces of rows of at most this many table entries: two
+# such pieces are the min's only temporaries, where whole groups peaked at
+# two copies of their rows (G10 k=2: 0.6 MB lower peak RSS; 2^13 made G10
+# 30% slower, 2^15 as fast or faster on G10, G12 and paths).
+_PIECE_ENTRIES = 2**15
 
 
 def _min_plan(succ: np.ndarray, count: np.ndarray, columns: int):
@@ -340,10 +348,13 @@ def _gathered_min(plan, table: np.ndarray, out: np.ndarray) -> np.ndarray:
     groups, rest, src = plan
     for rows, lists, runs in groups:
         if runs is None:
-            low = table[lists[:, 0]]
-            for j in range(1, lists.shape[1]):
-                np.minimum(low, table[lists[:, j]], out=low)
-            out[rows] = low
+            step = max(1, _PIECE_ENTRIES // table.shape[1])
+            for lo in range(0, len(rows), step):
+                piece = slice(lo, lo + step)
+                low = table[lists[piece, 0]]
+                for j in range(1, lists.shape[1]):
+                    np.minimum(low, table[lists[piece, j]], out=low)
+                out[rows[piece]] = low
             continue
         for (row, *reads), length in runs:
             low = out[row: row + length]
@@ -601,7 +612,7 @@ def _adversarial_start(g: Graph, k: int, state_cap: int = DEFAULT_STATE_CAP):
     `_retrograde` on the quotient by the declared group and twin swaps, with
     no robber table or policy: worst values are constant on orbits, whose
     first members are the rows."""
-    space = _StateSpace(g, k, state_cap, symmetric=True, twins=True)
+    space = _StateSpace(g, k, state_cap, symmetric=True)
     worst = _retrograde(space)[0].max(axis=1)
     best = int(worst.argmin())
     return space.configs[best], float(worst[best])
@@ -639,8 +650,7 @@ def _drunk_table(g: Graph, k: int, opts: SolveOptions, state_cap: float, symmetr
     graph's declared group and twin swaps (see `_StateSpace`); Gauss-Seidel
     always runs on the full space. On one vertex the cops start on the
     robber: the table is the 1 x 1 zero, and no sweep runs."""
-    quotient = symmetric and opts.scheme == "jacobi"
-    space = _StateSpace(g, k, state_cap, quotient, quotient)
+    space = _StateSpace(g, k, state_cap, symmetric and opts.scheme == "jacobi")
     if g.n == 1:
         return space, np.zeros((1, 1)), SweepStats(0, 0.0, 0.0, 0.0)
     solve = _drunk_jacobi if opts.scheme == "jacobi" else _drunk_gauss_seidel
@@ -654,13 +664,13 @@ def _smeared(space: _StateSpace, C: np.ndarray, out: np.ndarray, scratch=None) -
     Equals the substochastic cop-modified walk applied to row c: the columns
     at cop vertices contribute nothing because the table is zero there, and
     the cop-occupied rows are masked out explicitly. With twin classes see
-    `TwinColumns.smear`, which may read `scratch`, a table like out. All
+    `TwinColumns.smear`, which reads `scratch`, a table like out. All
     three are C-contiguous.
     """
     if space.twins is None:
         np.matmul(C, space.walk.T, out=out)
     else:
-        space.twins.smear(space.walk, space.smear_plan, C, out, scratch)
+        space.twins.smear(space.smear_plan, C, out, scratch)
     out.reshape(-1)[space.occupied_at] = 0.0
     return out
 
@@ -675,7 +685,7 @@ def _drunk_jacobi(space: _StateSpace, opts: SolveOptions):
     cols = space.cols
     stack = np.empty((len(cols), *space.shape))
     plan = _min_plan(space.succ_padded, space.succ_count, space.shape[1])
-    scratch = None if space.twins is None or space.smear_plan[0] is None else np.empty(space.shape)
+    scratch = None if space.twins is None else np.empty(space.shape)
 
     def step(C, out):
         _smeared(space, C, stack[0], scratch)

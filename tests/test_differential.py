@@ -18,9 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import copchase as cc
-from copchase import lumping, solver
+from copchase import solver
 from copchase.chain import MASS_TOL
-from copchase.solver import SolveOptions, SweepStats, _drunk_start, _near_min, _StateSpace
+from copchase.solver import SolveOptions, SweepStats, _drunk_start, _StateSpace
 from copchase.tables import _config_rank
 
 from conftest import (exact_drunk_values, lift_quotient, minimax_capture_value, padded_min,
@@ -188,8 +188,10 @@ def assert_gathered_min_matches_padded(g, k, seed=0):
         padded = padded_min(space.succ_padded, table, np.empty((space.m, space.n)))
         for columns in (0, 10**9):  # gathered rows, then runs of slices wherever any
             plan = solver._min_plan(space.succ_padded, space.succ_count, columns)
-            listed = solver._gathered_min(plan, table, np.full((space.m, space.n), np.nan))
-            assert np.array_equal(listed, padded)
+            for piece_entries in (1, solver._PIECE_ENTRIES):  # a row per piece, then the default
+                with mock.patch.object(solver, "_PIECE_ENTRIES", piece_entries):
+                    out = np.full((space.m, space.n), np.nan)
+                    assert np.array_equal(solver._gathered_min(plan, table, out), padded)
 
 
 @SETTINGS
@@ -371,12 +373,12 @@ def test_drunk_solvers_match_exact_values(instance):
     for table in (jacobi.values.values, gauss_seidel.values.values, lift_quotient(q, C),
                   evaluated):
         assert np.all(np.abs(table - exact) <= 1e-14 * exact)
-    if len(g.symmetries) == 1:  # the quotient is the full space
+    if len(g.symmetries) == 1 and q.twins is None:  # the quotient is the full space
         assert np.array_equal(C, jacobi.values.values) and stats == jacobi.stats
     means = [sum(row) for row in V]
     best = {cfg for cfg, mean in zip(jacobi.values.configs, means) if mean == min(means)}
+    # _drunk_start's Jacobi start is the quotient's: it solves the same space
     starts = {jacobi.optimal_start()[0], gauss_seidel.optimal_start()[0],
-              q.configs[_near_min(C.mean(axis=1))],
               _drunk_start(g, k, opts["jacobi"])[0], _drunk_start(g, k, opts["gauss-seidel"])[0]}
     assert starts <= best
 
@@ -477,23 +479,20 @@ TWIN_FAMILIES = [cc.path(2), cc.path(3), cc.cycle(4), cc.grid(2), cc.complete_tr
 
 
 def lumped_space(g, k):
-    q = _StateSpace(g, k, math.inf, symmetric=True, twins=True)
+    q = _StateSpace(g, k, math.inf, symmetric=True)
     assert q.twins is not None  # the instance has twins
     return q
 
 
 @SETTINGS
 @given(twin_instances())
-def test_lumped_retrograde_matches_unlumped_and_minimax(instance):
+def test_lumped_retrograde_matches_full_and_minimax(instance):
     g, k = instance
     q = lumped_space(g, k)
     C, _ = solver._retrograde(q)
     full = cc.solve_adversarial(g, k)
     assert np.array_equal(lift_quotient(q, C), full.cop_values.values)
-    unlumped = _StateSpace(g, k, math.inf, symmetric=True)
-    worst = solver._retrograde(unlumped)[0].max(axis=1)
     start, ct = solver._adversarial_start(g, k)
-    assert (start, ct) == (unlumped.configs[int(worst.argmin())], worst.min())
     assert (start, ct) == full.optimal_start()
     if k == 1:  # the game-tree oracle moves one cop
         memo = {}
@@ -502,15 +501,12 @@ def test_lumped_retrograde_matches_unlumped_and_minimax(instance):
                          for x in range(g.n))
 
 
-@pytest.mark.parametrize("gather_share", [0.0, 1.0])  # the dense smear, then the gather-add
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
 @given(twin_instances())
-def test_lumped_jacobi_matches_exact_values(gather_share, instance):
+def test_lumped_jacobi_matches_exact_values(instance):
     g, k = instance
     opts = SolveOptions(scheme="jacobi", tolerance=1e-300, max_sweeps=10**4)
     q = lumped_space(g, k)
-    with mock.patch.object(lumping, "GATHER_SHARE", gather_share):
-        assert (q.smear_plan[0] is None) == (gather_share == 0.0)
     C, _ = solver._drunk_jacobi(q, opts)
     V, rounds = exact_drunk_values(g, k, cc.solve_drunk(g, k, opts).policy.successor_idx)
     assert rounds == 0
@@ -580,24 +576,6 @@ def test_lumped_quotient_lifts_to_the_full_tables(name):
     assert np.abs(lifted - drunk.values.values).max() <= 1e-12 * drunk.values.values.max()
     assert stats.sweeps == drunk.stats.sweeps
     assert _drunk_start(g, k)[0] == drunk.optimal_start()[0]
-
-
-@SETTINGS
-@given(exact_instances())
-def test_twin_free_spaces_are_the_unlumped_ones(instance):
-    # without twins, asking for them changes no table, stat or start
-    g, k = instance
-    if cc.graphs.twin_classes(g).max() < g.n - 1:
-        return
-    opts = SolveOptions(scheme="jacobi", tolerance=1e-300)
-    q = _StateSpace(g, k, math.inf, symmetric=True, twins=True)
-    unlumped = _StateSpace(g, k, math.inf, symmetric=True)
-    assert q.twins is None and q.configs == unlumped.configs
-    assert np.array_equal(solver._retrograde(q)[0], solver._retrograde(unlumped)[0])
-    C, stats = solver._drunk_jacobi(q, opts)
-    C_unlumped, stats_unlumped = solver._drunk_jacobi(unlumped, opts)
-    assert np.array_equal(C, C_unlumped) and stats == stats_unlumped
-    assert _drunk_start(g, k, opts)[0] == unlumped.configs[_near_min(C_unlumped.mean(axis=1))]
 
 
 def loop_base_transition(g):
