@@ -61,6 +61,7 @@ from .montecarlo import (
     SeedSpec,
     SimReport,
     SimulationError,
+    TrialBudgetError,
     simulate_drunk_pursuit,
     simulate_random_cops,
     walk_deviation_check,

@@ -21,7 +21,7 @@ from .chain import (
     read_strategy,
 )
 from .graphs import FamilySpec, Graph, GraphError, read_edge_list
-from .montecarlo import SimulationError
+from .montecarlo import SimulationError, TrialBudgetError
 from .solver import (
     DEFAULT_STATE_CAP,
     ConvergenceError,
@@ -268,6 +268,8 @@ def _cmd_simulate(args) -> int:
         else:
             print(f"exceedance: {_fmt(float(exceedance), digits)}")
         return EXIT_OK
+    # a feedback policy's configuration is the drunk mode's one cop column
+    montecarlo.check_trials(args.trials, args.k if args.mode == "random-cops" else 1)
     g = _build_graph(args)
     if args.mode == "drunk":
         if args.strategy:
@@ -372,7 +374,7 @@ def main(argv=None) -> int:
     except (NonterminatingStrategyError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    except (StateSpaceError, CopNumberError) as exc:
+    except (StateSpaceError, CopNumberError, TrialBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except (GraphError, StrategyError, SimulationError, ValueError, OSError) as exc:

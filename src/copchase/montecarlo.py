@@ -26,8 +26,42 @@ CENSOR_MULTIPLIER = 100
 EVADER_HEURISTICS = ("max-distance-greedy", "uniform-random")
 
 
+# Trials per piece of a round: a round draws its numbers and steps its
+# running trials one piece at a time, so its temporaries do not grow with the
+# trial count. A step casts a piece's int32 vertices to intp before it
+# gathers with them, as numpy gathers by int32 indices at half the speed.
+_PIECE_TRIALS = 1 << 16
+# Budget for the per-trial state of one simulation (see trial_bytes).
+MAX_TRIAL_BYTES = 1 << 30
+
+
 class SimulationError(RuntimeError):
     """Simulation aborted (undefined policy state or invalid inputs)."""
+
+
+class TrialBudgetError(SimulationError):
+    """The per-trial state of a simulation would exceed MAX_TRIAL_BYTES."""
+
+
+def trial_bytes(cop_columns: int) -> int:
+    """Bytes a simulation holds per trial: an int64 capture time; an int64
+    index, an int32 robber vertex and `cop_columns` int32 cop columns (the
+    cops of a random-cops trial, a feedback policy's configuration, none
+    under a fixed strategy) per running trial, twice over while they are
+    compacted; two one-byte masks; and the int64 positions of the trials
+    kept, through which numpy compacts the two-dimensional cop array."""
+    return 8 + 2 * (8 + 4 * (1 + cop_columns)) + 2 + 8
+
+
+def check_trials(trials: int, cop_columns: int) -> None:
+    """SimulationError unless 1 <= trials, and TrialBudgetError if their
+    state would exceed MAX_TRIAL_BYTES; raised before anything is allocated."""
+    if trials < 1:
+        raise SimulationError("trials must be >= 1")
+    need = trials * trial_bytes(cop_columns)
+    if need > MAX_TRIAL_BYTES:
+        raise TrialBudgetError(f"{trials} trials need {need} bytes of trial state, "
+                               f"over the budget of {MAX_TRIAL_BYTES}")
 
 
 @dataclass(frozen=True)
@@ -115,22 +149,63 @@ def _check_config_moves(g: Graph, configs, src_idx: np.ndarray, dst_idx: np.ndar
             raise SimulationError(f"illegal cop move {configs[a]} -> {configs[b]}")
 
 
-def _pursue(caught: np.ndarray, max_rounds: int, master: int, cop_step, robber_step) -> SimReport:
+def _spans(size: int, width: int = 1):
+    """Bounds (a, b) of consecutive pieces of range(size), each of at most a
+    piece's worth of rows of `width` entries."""
+    step = max(1, _PIECE_TRIALS // width)
+    return ((a, min(a + step, size)) for a in range(0, size, step))
+
+
+def _drawn(gen: np.random.Generator, alive: np.ndarray, buf: np.ndarray):
+    """The round's full-length draw of doubles from gen, one per trial (or
+    one row of buf.shape[1] per trial), made one piece of len(buf) trials at
+    a time into buf: yields (a, b, u) with u the draws of the running trials
+    alive[a:b] of the piece. A Philox double is one 64-bit word, so pieces
+    read the numbers that one trials-long draw would; draws past the last
+    running trial are not made."""
+    end = int(alive[-1]) + 1
+    a = 0
+    for lo in range(0, end, len(buf)):
+        hi = min(lo + len(buf), end)
+        u = buf[:hi - lo]
+        gen.random(out=u)
+        b = len(alive) if hi == end else int(alive.searchsorted(hi))
+        if b > a:
+            yield a, b, u[alive[a:b] - lo if lo else alive[a:b]]
+        a = b
+
+
+def _settle(T: np.ndarray, t: int, caught: np.ndarray, alive: np.ndarray,
+            state: list) -> np.ndarray:
+    """Give the caught running trials capture time t, compact the list of
+    state arrays in place to the trials still running, and return alive
+    compacted alike."""
+    if caught.any():
+        T[alive[caught]] = t
+        keep = ~caught
+        alive = alive[keep]
+        state[:] = [s[keep] for s in state]
+    return alive
+
+
+def _pursue(caught: np.ndarray, state: list, max_rounds: int, master: int,
+            cop_step, robber_step) -> SimReport:
     """Play rounds 1, 2, ..., max_rounds of the trials not `caught` at
     placement, and report their capture times; trials still running after
-    max_rounds are censored. Each round calls cop_step(t, alive) and then,
-    if any trial is left, robber_step(t, alive): a step moves the running
-    trials `alive` and returns a mask of the ones it caught."""
+    max_rounds are censored. `state` lists the int32 per-trial arrays (first
+    axis the trials) and holds their only references; after every step
+    that catches a trial, they and `alive`, the running trials' indices, are
+    compacted to the trials still running. Each round calls
+    cop_step(t, alive, *state) and then, if any trial is left,
+    robber_step(t, alive, *state): a step moves the running trials in place
+    and returns a mask of the ones it caught."""
     T = np.full(len(caught), -1, dtype=np.int64)
-    T[caught] = 0
-    alive = np.nonzero(~caught)[0]
+    alive = _settle(T, 0, caught, np.arange(len(caught)), state)
     t = 0
     while alive.size and t < max_rounds:
         t += 1
         for step in (cop_step, robber_step):
-            caught = step(t, alive)
-            T[alive[caught]] = t
-            alive = alive[~caught]
+            alive = _settle(T, t, step(t, alive, *state), alive, state)
             if not alive.size:
                 break
     return _report(T, master)
@@ -152,22 +227,25 @@ def simulate_drunk_pursuit(
     check. Trials still running at `max_rounds` are censored. With
     `validate_moves`, an illegal cop or robber move raises SimulationError.
     """
-    if trials < 1:
-        raise SimulationError("trials must be >= 1")
+    fixed = isinstance(policy, FixedStrategy)
+    check_trials(trials, 0 if fixed else 1)
     seed = _as_seed(seed)
     if max_rounds is None:
         max_rounds = _round_cap(g, CENSOR_MULTIPLIER)
     n = g.n
-    if isinstance(policy, FixedStrategy):
+    if fixed:
         validate_strategy(g, policy)
         occ = _occupancy(policy.configs[:1], n)[0]  # one row, rebuilt each round
 
-        def move_cops(t, alive, ya):
+        def cop_step(t, alive, y):
             nonlocal occ
             occ = _occupancy([policy.config_at(t)], n)[0]
-            return occ[ya]
+            caught = np.empty(len(alive), dtype=bool)
+            for a, b in _spans(len(alive)):
+                caught[a:b] = occ[y[a:b].astype(np.intp)]
+            return caught
 
-        def occupied_at(alive, vertices):
+        def occupied_at(vertices):
             return occ[vertices]
     else:
         if start is None:
@@ -178,43 +256,46 @@ def simulate_drunk_pursuit(
             start_idx = _config_rank(n, policy.k, start)
         except (KeyError, ValueError) as exc:
             raise SimulationError(f"unknown start configuration {start!r}") from exc
-        cfg = np.full(trials, start_idx, dtype=np.int64)
 
-        def move_cops(t, alive, ya):
-            nxt = succ_idx[cfg[alive], ya]
-            if np.any(nxt < 0):
-                bad = alive[np.nonzero(nxt < 0)[0][0]]
-                state = (policy.configs[cfg[bad]], int(y[bad]))
-                raise SimulationError(f"policy undefined at state {state}")
-            if validate_moves:
-                _check_config_moves(g, policy.configs, cfg[alive], nxt)
-            cfg[alive] = nxt
-            return occupied[nxt, ya]
+        def cop_step(t, alive, y, cfg):
+            caught = np.empty(len(alive), dtype=bool)
+            for a, b in _spans(len(alive)):
+                ya = y[a:b].astype(np.intp)
+                nxt = succ_idx[cfg[a:b], ya]
+                if np.any(nxt < 0):
+                    bad = a + np.nonzero(nxt < 0)[0][0]
+                    where = (policy.configs[cfg[bad]], int(y[bad]))
+                    raise SimulationError(f"policy undefined at state {where}")
+                if validate_moves:
+                    _check_config_moves(g, policy.configs, cfg[a:b], nxt)
+                cfg[a:b] = nxt
+                caught[a:b] = occupied[nxt, ya]
+            return caught
 
-        def occupied_at(alive, vertices):
-            return occupied[cfg[alive], vertices]
+        def occupied_at(vertices, cfg):
+            return occupied[cfg, vertices]
 
     nbrs, deg = g._neighbor_table(closed=False)
-    y = seed.stream("placement", 0).integers(0, n, size=trials)
-    u = np.empty(trials)
+    buf = np.empty(min(trials, _PIECE_TRIALS))
     stepped = None  # outlives each call, or malloc trims and refaults the heap every round
 
-    def cop_step(t, alive):
-        # the round's full draw, whichever trials still run: the stream contract
-        seed.stream("robber", t).random(out=u)
-        return move_cops(t, alive, y[alive])
-
-    def robber_step(t, alive):
+    def robber_step(t, alive, y, *cfg):
         nonlocal stepped
-        ya = y[alive]
-        stepped = nbrs[ya, (u[alive] * deg[ya]).astype(np.int64)]
-        if validate_moves:
-            _check_robber_steps(g, ya, stepped)
-        y[alive] = stepped
-        return occupied_at(alive, stepped)
+        caught = np.empty(len(alive), dtype=bool)
+        for a, b, u in _drawn(seed.stream("robber", t), alive, buf):
+            ya = y[a:b].astype(np.intp)
+            u *= deg[ya]  # u is the piece's own gathered copy
+            stepped = nbrs[ya, u.astype(np.int64)]
+            if validate_moves:
+                _check_robber_steps(g, ya, stepped)
+            y[a:b] = stepped
+            caught[a:b] = occupied_at(stepped, *(c[a:b] for c in cfg))
+        return caught
 
-    return _pursue(occupied_at(np.arange(trials), y), max_rounds, seed.master,
-                   cop_step, robber_step)
+    state = [seed.stream("placement", 0).integers(0, n, size=trials, dtype=np.int32)]
+    if not fixed:
+        state.append(np.full(trials, start_idx, dtype=np.int32))
+    return _pursue(occupied_at(*state), state, max_rounds, seed.master, cop_step, robber_step)
 
 
 def simulate_random_cops(
@@ -235,8 +316,7 @@ def simulate_random_cops(
     """
     if evader not in EVADER_HEURISTICS:
         raise SimulationError(f"evader must be one of {EVADER_HEURISTICS}")
-    if trials < 1:
-        raise SimulationError("trials must be >= 1")
+    check_trials(trials, k)
     if k < 1:
         raise SimulationError("need at least one cop")
     seed = _as_seed(seed)
@@ -248,19 +328,19 @@ def simulate_random_cops(
 
     place = seed.stream("placement", 0)
     if start is None:
-        cops = place.integers(0, n, size=(trials, k))
+        cops = place.integers(0, n, size=(trials, k), dtype=np.int32)
     else:
         cfg = tuple(sorted(start))
         if len(cfg) != k:
             raise SimulationError(f"start {start!r} does not place {k} cops")
         if cfg[0] < 0 or cfg[-1] >= n:  # a negative vertex would wrap around
             raise SimulationError(f"start {start!r} places a cop off the graph's {n} vertices")
-        cops = np.tile(np.array(cfg, dtype=np.int64), (trials, 1))
+        cops = np.tile(np.array(cfg, dtype=np.int32), (trials, 1))
 
     if evader == "uniform-random":
-        y = seed.stream("evader", 0).integers(0, n, size=trials)
+        y = seed.stream("evader", 0).integers(0, n, size=trials, dtype=np.int32)
     else:
-        dmat = np.array(distance_matrix(g), dtype=np.int64)
+        dmat = np.array(distance_matrix(g), dtype=np.int32)
 
         def nearest_cop_dist(vertices: np.ndarray, cop_pos: np.ndarray) -> np.ndarray:
             # vertices (..., ) indexes rows of dmat; cop_pos (..., k)
@@ -269,38 +349,58 @@ def simulate_random_cops(
                 np.minimum(best, dmat[vertices, cop_pos[..., j]], out=best)
             return best
 
-        # the vertex farthest from the nearest starting cop, per trial
-        y = nearest_cop_dist(np.arange(n)[:, None], cops[None]).argmax(axis=0)
+        # the vertex farthest from the nearest starting cop, per trial, over
+        # pieces of trials whose (n, piece) distance tables stay one piece big
+        y = np.empty(trials, dtype=np.int32)
+        for a, b in _spans(trials, n):
+            y[a:b] = nearest_cop_dist(np.arange(n)[:, None], cops[None, a:b]).argmax(axis=0)
 
-    moved = None  # outlives each call, as `stepped` does in simulate_drunk_pursuit
+    cop_buf = np.empty((min(trials, _PIECE_TRIALS), k))
 
-    def cop_step(t, alive):
-        nonlocal moved
-        ucops = seed.stream("cops", t).random((trials, k))[alive]
-        moved = nbrs[cops[alive], (ucops * deg[cops[alive]]).astype(np.int64)]
-        cops[alive] = moved
-        return (moved == y[alive, None]).any(axis=1)
+    def cop_step(t, alive, cops, y):
+        caught = np.empty(len(alive), dtype=bool)
+        for a, b, u in _drawn(seed.stream("cops", t), alive, cop_buf):
+            c = cops[a:b].astype(np.intp)
+            u *= deg[c]
+            moved = nbrs[c, u.astype(np.int64)]
+            cops[a:b] = moved
+            caught[a:b] = (moved == y[a:b, None]).any(axis=1)
+        return caught
 
-    def robber_step(t, alive):
-        ya = y[alive]
-        if evader == "uniform-random":
-            u = seed.stream("evader", t).random(trials)[alive]
-            stepped = nbrs[ya, (u * deg[ya]).astype(np.int64)]
-        else:
-            cand = nbrs[ya]  # (a, width)
-            dist = nearest_cop_dist(cand, cops[alive][:, None, :])
-            stepped = cand[np.arange(len(ya)), dist.argmax(axis=1)]
-        y[alive] = stepped
-        return (cops[alive] == stepped[:, None]).any(axis=1)
+    if evader == "uniform-random":
+        buf = np.empty(min(trials, _PIECE_TRIALS))
 
-    return _pursue((cops == y[:, None]).any(axis=1), max_rounds, seed.master,
-                   cop_step, robber_step)
+        def move_robber(t, alive, cops, y):
+            for a, b, u in _drawn(seed.stream("evader", t), alive, buf):
+                ya = y[a:b].astype(np.intp)
+                u *= deg[ya]
+                y[a:b] = nbrs[ya, u.astype(np.int64)]
+                yield a, b
+    else:
+        def move_robber(t, alive, cops, y):
+            for a, b in _spans(len(alive), nbrs.shape[1]):
+                cand = nbrs[y[a:b]]  # (b - a, width)
+                dist = nearest_cop_dist(cand, cops[a:b, None, :])
+                y[a:b] = cand[np.arange(b - a), dist.argmax(axis=1)]
+                yield a, b
+
+    def robber_step(t, alive, cops, y):
+        caught = np.empty(len(alive), dtype=bool)
+        for a, b in move_robber(t, alive, cops, y):
+            caught[a:b] = (cops[a:b] == y[a:b, None]).any(axis=1)
+        return caught
+
+    caught, state = (cops == y[:, None]).any(axis=1), [cops, y]
+    del cops, y  # `state` holds them, and compaction frees them
+    return _pursue(caught, state, max_rounds, seed.master, cop_step, robber_step)
 
 
 # Steps drawn per random block (this fixes the stream of each trial) and
-# steps summed per slice of a block.
+# steps drawn and summed per slice of a block. numpy draws bounded int8
+# values four to a 32-bit word and drops a call's unused bytes, so slices of
+# a multiple of 4 rows continue the block's stream exactly.
 _WALK_CHUNK_STEPS = 8_000_000
-_WALK_SLICE_STEPS = 1_000_000
+_WALK_SLICE_STEPS = 1 << 18
 
 
 def walk_deviation_check(n: int, c: float, trials: int, seed: int) -> float:
@@ -315,21 +415,24 @@ def walk_deviation_check(n: int, c: float, trials: int, seed: int) -> float:
     # the threshold's floor
     limit = math.floor(c * math.sqrt(n * math.log(n)))
     chunk = max(1, min(trials, _WALK_CHUNK_STEPS // n))
-    rows = max(1, _WALK_SLICE_STEPS // n)
+    rows = max(4, _WALK_SLICE_STEPS // n // 4 * 4)
+    positions = np.empty((min(rows, chunk), n), dtype=np.int32)  # every slice's buffer
     exceeded = 0
     done = 0
     block = 0
     while done < trials:
         size = min(chunk, trials - done)
         g = seed.stream("walk", block)
-        steps = g.integers(0, 2, size=(size, n), dtype=np.int8)
-        steps *= 2
-        steps -= 1
-        # positions in int32 over slices of rows, not int64 over the chunk
         for lo in range(0, size, rows):
-            positions = np.cumsum(steps[lo: lo + rows], axis=1, dtype=np.int32)
-            np.abs(positions, out=positions)
-            exceeded += int((positions > limit).any(axis=1).sum())
+            out = positions[:min(rows, size - lo)]
+            # in place in the buffer: a cumsum that widened int8 to int32 would
+            # copy its input
+            np.copyto(out, g.integers(0, 2, size=out.shape, dtype=np.int8))
+            out *= 2
+            out -= 1
+            np.cumsum(out, axis=1, out=out)
+            np.abs(out, out=out)
+            exceeded += int((out.max(axis=1) > limit).sum())
         done += size
         block += 1
     return exceeded / trials

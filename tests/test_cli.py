@@ -166,6 +166,31 @@ def test_edge_cap_exits_2(capsys, monkeypatch):
     assert code == 0
 
 
+def test_trial_budget_exits_3(capsys, monkeypatch):
+    # the per-trial state is counted from --trials and --k before the graph
+    # is built or any policy solved; walk mode holds no per-trial state
+    code, out, err = run_cli(capsys, "simulate", "--family", "path", "--n", "5", "--mode",
+                             "drunk", "--k", "1", "--trials", str(10**12))
+    assert code == 3 and out == "" and err.startswith("error:") and "budget" in err
+    monkeypatch.setattr(cc.montecarlo, "MAX_TRIAL_BYTES", 100_000)
+    cops = ["simulate", "--family", "grid", "--n", "3", "--mode", "random-cops", "--k", "2",
+            "--evader", "uniform", "--seed", "1"]
+    need = cc.montecarlo.trial_bytes(2)
+    code, _, err = run_cli(capsys, *cops, "--trials", str(100_000 // need + 1))
+    assert code == 3
+    assert err == (f"error: {100_000 // need + 1} trials need {(100_000 // need + 1) * need} "
+                   "bytes of trial state, over the budget of 100000\n")
+    assert run_cli(capsys, *cops, "--trials", str(100_000 // need))[0] == 0
+    code, _, err = run_cli(capsys, "simulate", "--family", "path", "--n", "5", "--mode", "drunk",
+                           "--k", "1", "--trials", "3000")
+    assert code == 3 and "budget" in err
+    with pytest.raises(cc.TrialBudgetError):
+        cc.simulate_drunk_pursuit(cc.path(5), cc.FixedStrategy([(0,)]), 3000, seed=1)
+    code, _, _ = run_cli(capsys, "simulate", "--mode", "walk", "--n", "10", "--c", "3",
+                         "--trials", "20000")
+    assert code == 0
+
+
 @pytest.mark.parametrize("message", ["", "cannot allocate 8 GiB"])
 def test_memory_error_exits_3(capsys, monkeypatch, message):
     def exhausted(args):

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -388,6 +389,25 @@ def test_more_reports_are_pinned():
         assert report.to_json() == MORE_PINNED_REPORTS[name], name
 
 
+@pytest.mark.parametrize("piece", [1, 3, 7])
+def test_pinned_reports_in_pieces(monkeypatch, piece):
+    # rounds drawn and stepped a few trials at a time cross every piece
+    # boundary (censoring, validated moves, stacked and greedy cops, one
+    # vertex) and must read the same streams
+    monkeypatch.setattr(montecarlo, "_PIECE_TRIALS", piece)
+    test_reports_are_pinned()
+    test_more_reports_are_pinned()
+
+
+def test_undefined_policy_is_reported_from_a_later_piece(monkeypatch):
+    # the failing trial's own state, found within its piece
+    monkeypatch.setattr(montecarlo, "_PIECE_TRIALS", 2)
+    g = cc.cycle(4)
+    adv = cc.solve_adversarial(g, 1)
+    with pytest.raises(cc.SimulationError, match=r"policy undefined at state \(\(0,\), 2\)"):
+        cc.simulate_drunk_pursuit(g, adv.cop_policy, 500, seed=0, start=(0,))
+
+
 def test_uniform_evader_needs_no_distances(monkeypatch):
     # only the greedy evader reads distances; the all-pairs BFS is its cost
     def no_distances(g):
@@ -456,13 +476,61 @@ def test_walk_deviation_matches_reference(n, trials):
 
 
 def test_walk_deviation_blocks_and_slices_match_reference(monkeypatch):
-    # small blocks and slices: several of each per call, with ragged ends
-    monkeypatch.setattr(montecarlo, "_WALK_CHUNK_STEPS", 3000)
-    monkeypatch.setattr(montecarlo, "_WALK_SLICE_STEPS", 700)
-    for n in [10, 37, 1000]:
-        for c in [2.05, 2.5, 3]:
-            assert (cc.walk_deviation_check(n, c, 1234, seed=9)
-                    == reference_walk_deviation_check(n, c, 1234, seed=9, chunk_steps=3000))
+    # small blocks and slices: several of each per call, with ragged ends;
+    # slices are drawn call by call, in multiples of 4 rows (at n = 999 the
+    # second setting cuts 30-row blocks into 4-row draws)
+    for chunk_steps, slice_steps in [(3000, 700), (30000, 4000)]:
+        monkeypatch.setattr(montecarlo, "_WALK_CHUNK_STEPS", chunk_steps)
+        monkeypatch.setattr(montecarlo, "_WALK_SLICE_STEPS", slice_steps)
+        for n in [1, 7, 10, 37, 999, 1000]:
+            for trials in [1233, 1234]:
+                for c in [2.05, 2.5, 3]:
+                    assert (cc.walk_deviation_check(n, c, trials, seed=9)
+                            == reference_walk_deviation_check(n, c, trials, seed=9,
+                                                              chunk_steps=chunk_steps))
+
+
+def traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_walk_memory_in_bytes():
+    # one slice of int8 draws and its int32 positions in a reused buffer; a
+    # whole 8,000 x 1000 block of draws and its cumsum would take 40 MB
+    assert traced_peak(lambda: cc.walk_deviation_check(1000, 3, 20000, seed=2)) < 4_000_000
+
+
+# What a round's temporaries may take beside the per-trial state, with
+# pieces of 1024 trials (about 160 bytes per trial of a piece are in use).
+PIECE_TRIALS, PIECE_BYTES = 1024, 256 * 1024
+
+
+@pytest.mark.parametrize("run", ["random-cops-uniform", "random-cops-greedy-start", "drunk-fixed"])
+def test_simulation_memory_in_bytes(monkeypatch, run):
+    # the per-trial state is compact int32 plus the capture times, and every
+    # other array is one piece of trials long: whole-population draws,
+    # gathers or (vertices x trials) distance tables would exceed the bound
+    monkeypatch.setattr(montecarlo, "_PIECE_TRIALS", PIECE_TRIALS)
+    trials = 20000
+    grid, path = cc.grid(10), cc.path(200)
+    grid._neighbor_table(closed=True)
+    path._neighbor_table(closed=False)
+    sweep = cc.FixedStrategy([(v,) for v in range(200)])
+    runs = {
+        "random-cops-uniform": (2, lambda: cc.simulate_random_cops(
+            grid, 2, "uniform-random", trials, seed=5, max_rounds=30)),
+        "random-cops-greedy-start": (2, lambda: cc.simulate_random_cops(
+            grid, 2, "max-distance-greedy", trials, seed=5, max_rounds=0)),
+        "drunk-fixed": (0, lambda: cc.simulate_drunk_pursuit(
+            path, sweep, trials, seed=5, max_rounds=30)),
+    }
+    cop_columns, simulate = runs[run]
+    assert traced_peak(simulate) <= PIECE_BYTES + montecarlo.trial_bytes(cop_columns) * trials
 
 
 def test_single_vertex_simulations():
