@@ -243,11 +243,6 @@ def twin_quotient(g: Graph, label: np.ndarray) -> Graph:
     return Graph(classes, zip(*(half.tolist() for half in np.divmod(codes, classes))))
 
 
-def distance_matrix(g: Graph) -> list[list[int]]:
-    """All-pairs shortest-path distances (unit edge lengths)."""
-    return [_bfs_distances(g, v) for v in range(g.n)]
-
-
 # ---------------------------------------------------------------------------
 # Generators
 # ---------------------------------------------------------------------------

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import FixedStrategy, _cops_can_move, _round_cap, validate_strategy
-from .graphs import Graph, distance_matrix
-from .solver import _occupancy
+from .graphs import Graph
+from .solver import _distinct, _occupancy, _slices
 from .tables import FeedbackPolicy, _config_rank
 
 RNG_NAME = "philox4x64"
@@ -53,15 +53,35 @@ def trial_bytes(cop_columns: int) -> int:
     return 8 + 2 * (8 + 4 * (1 + cop_columns)) + 2 + 8
 
 
-def check_trials(trials: int, cop_columns: int) -> None:
+def check_trials(trials: int, cop_columns: int, table_bytes: int = 0) -> None:
     """SimulationError unless 1 <= trials, and TrialBudgetError if their
-    state would exceed MAX_TRIAL_BYTES; raised before anything is allocated."""
+    state and a `table_bytes` distance table would exceed MAX_TRIAL_BYTES;
+    raised before anything is allocated."""
     if trials < 1:
         raise SimulationError("trials must be >= 1")
     need = trials * trial_bytes(cop_columns)
-    if need > MAX_TRIAL_BYTES:
-        raise TrialBudgetError(f"{trials} trials need {need} bytes of trial state, "
+    if need + table_bytes > MAX_TRIAL_BYTES:
+        table = f" and a {table_bytes}-byte distance table" if table_bytes else ""
+        raise TrialBudgetError(f"{trials} trials need {need} bytes of trial state{table}, "
                                f"over the budget of {MAX_TRIAL_BYTES}")
+
+
+def distance_table(g: Graph) -> np.ndarray:
+    """All-pairs distances, an (n, n) int32 table: breadth-first search
+    from every source at once, over the pairs source * n + vertex."""
+    n, (nbrs, _) = g.n, g._neighbor_table(closed=False)
+    dist = np.full(n * n, -1, dtype=np.int32)
+    frontier = np.arange(n) * (n + 1)
+    dist[frontier] = level = 0
+    while frontier.size:
+        level += 1
+        found = [frontier[:0]]
+        for f in _slices(frontier, nbrs.shape[1] or 1):  # pads repeat a neighbour
+            pairs = (f - f % n)[:, None] + nbrs[f % n]
+            found.append(_distinct(pairs[dist[pairs] == -1], dist))  # scratch until set
+            dist[found[-1]] = level
+        frontier = np.concatenate(found)
+    return dist.reshape(n, n)
 
 
 @dataclass(frozen=True)
@@ -316,7 +336,7 @@ def simulate_random_cops(
     """
     if evader not in EVADER_HEURISTICS:
         raise SimulationError(f"evader must be one of {EVADER_HEURISTICS}")
-    check_trials(trials, k)
+    check_trials(trials, k, 4 * g.n**2 if evader == "max-distance-greedy" else 0)
     if k < 1:
         raise SimulationError("need at least one cop")
     seed = _as_seed(seed)
@@ -340,14 +360,10 @@ def simulate_random_cops(
     if evader == "uniform-random":
         y = seed.stream("evader", 0).integers(0, n, size=trials, dtype=np.int32)
     else:
-        dmat = np.array(distance_matrix(g), dtype=np.int32)
+        dmat = distance_table(g)
 
         def nearest_cop_dist(vertices: np.ndarray, cop_pos: np.ndarray) -> np.ndarray:
-            # vertices (..., ) indexes rows of dmat; cop_pos (..., k)
-            best = dmat[vertices, cop_pos[..., 0]]
-            for j in range(1, k):
-                np.minimum(best, dmat[vertices, cop_pos[..., j]], out=best)
-            return best
+            return dmat[vertices[..., None], cop_pos].min(axis=-1)  # cop_pos (..., k)
 
         # the vertex farthest from the nearest starting cop, per trial, over
         # pieces of trials whose (n, piece) distance tables stay one piece big

@@ -76,18 +76,21 @@ class _StateSpace:
     column per twin class. A row stands for its orbit's first
     (lexicographically smallest) member, rows ascending: within each class
     the cops sit on its first members, the most stacked first, and the
-    declared group then picks the least such configuration. The state cap
-    counts orbit rows x columns x (2 + E) / 3: a Jacobi sweep holds 2 + E
-    tables of that size (see `_drunk_jacobi`) where one over the full space
-    holds 3. Before any row is built it also bounds configurations x n /
-    (declared group order), which counts every vertex, twins included.
+    declared group then picks the least such configuration.
+
+    The cap counts what a solve path holds: retrograde, rows x columns
+    (checked as rows are found); quotient Jacobi, (3m + P) x columns / 3 for
+    two tables and m + P stack rows (see `_drunk_jacobi`); the full space,
+    m x n, as its three tables count. Up front it bounds C(c+k-1, k) x c /
+    (declared group order) for c columns, and the search's byte per
+    configuration (see `_successors`) by a table at the cap.
 
     Values are invariant under the group: if s maps a successor x' of a row
     onto the row r, the value at (x', y) is the value at (r, s(y)). So a
-    successor slot holds e * m + r: it reads row r of the table with its
-    columns permuted by cols[e], one of the E declared elements that some
-    slot uses (e = 0 is the identity, the only one under the trivial group).
-    Twin swaps map every class onto itself, so they permute no column.
+    successor slot reads a row of the table with its columns permuted by
+    cols[e], one of the E declared elements that some slot uses (see
+    `reads`). Twin swaps map every class onto itself, so they permute no
+    column.
 
     A class column holds the value of the class's free members, which twin
     swaps that fix the row make equal, and an occupied member's value is 0;
@@ -101,20 +104,20 @@ class _StateSpace:
             raise ValueError(f"cop count must be >= 1, got {k}")
         n = g.n
         self.group = g.symmetries if symmetric else np.arange(n)[None]
-        m = math.comb(n + k - 1, k)
-        order = len(self.group)
-        if m * n > state_cap * order:  # there are at least m / |G| orbits
-            per = "" if order == 1 else f" / {order} symmetries"
-            raise StateSpaceError(
-                f"{m} configurations x {n} robber vertices{per} = {m * n // order}"
-                f"{'' if order == 1 else '+'} states exceeds cap {state_cap}"
-            )
+        self.twins = TwinColumns.of(g) if symmetric else None
+        self.robber = g if self.twins is None else self.twins.robber
+        c, order = self.robber.n, len(self.group)
+        m = math.comb(c + k - 1, k)  # distinct twin orbits, and at least m / |G| orbits
+        if m * c > state_cap * order:
+            raise StateSpaceError(f"{m} configurations x {c} robber columns / {order} symmetries"
+                                  f" = {m * c // order}+ states exceeds cap {state_cap}")
+        if math.comb(n + k - 1, k) > 8 * state_cap:
+            raise StateSpaceError(f"{math.comb(n + k - 1, k)}-byte configuration search exceeds "
+                                  f"a table at cap {state_cap}")
         self.g = g
         self.n = n
         self.k = k
         self.state_cap = state_cap
-        self.twins = TwinColumns.of(g) if symmetric else None
-        self.robber = g if self.twins is None else self.twins.robber
         self.col_group = self.group if self.twins is None else self.twins.columns(self.group)
         if order > 1:
             self.configs = self._successors[0]
@@ -135,9 +138,9 @@ class _StateSpace:
         return cfgs if self.twins is None else self.twins.canonical(cfgs)
 
     @functools.cached_property
-    def _successors(self) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
-        """The orbit representatives, `succ_padded`, `succ_count` and
-        `cols`. Pieces of rows are expanded one at a time: every cop step
+    def _successors(self) -> tuple[list, np.ndarray, np.ndarray, np.ndarray, tuple]:
+        """The orbit representatives, `succ_padded`, `succ_count`, `cols`
+        and `reads`. Pieces of rows are expanded one at a time: every cop step
         from each row is listed, ranked and canonicalized in numpy, and the
         orbits not seen before become new pieces. Under the trivial group
         every row is known from the start; otherwise the search
@@ -204,17 +207,18 @@ class _StateSpace:
         configs = list(map(tuple, np.concatenate([c for _, c in found])[by_rank].tolist()))
         m = len(rep_ranks)
         row = np.searchsorted(rep_ranks, np.concatenate(rows))
-        ranks, elem = np.concatenate(ranks), np.concatenate(elems)
+        code = np.searchsorted(rep_ranks, np.concatenate(ranks))  # e * m + q: row q through e
+        elem = np.concatenate(elems)
         used = np.flatnonzero(np.bincount(elem))  # holds 0: every row is its own successor
-        if m * columns * (2 + len(used)) > 3 * self.state_cap:
-            raise StateSpaceError(
-                f"{m} configuration orbits x {columns} robber columns x (2 + {len(used)} group "
-                f"elements) / 3 = {m * columns * (2 + len(used)) // 3} states exceeds cap "
-                f"{self.state_cap}")
-        slot = np.searchsorted(used, elem) * m + np.searchsorted(rep_ranks, ranks)
+        code += np.searchsorted(used, elem) * m
+        del rows, ranks, elems, elem  # each held raises the peak
+        read = np.zeros(len(used) * m, dtype=bool)
+        read[:m] = read[code] = True
+        pairs = np.flatnonzero(read)  # the code of each slot
+        slot = np.searchsorted(pairs, code)[np.argsort(row, kind="stable")]
         count = np.bincount(row, minlength=m)
-        succ = _padded_flat(slot[np.argsort(row, kind="stable")], count)
-        return configs, succ, count, self.col_group[used]
+        del row, code
+        return configs, _padded_flat(slot, count), count, self.col_group[used], np.divmod(pairs, m)
 
     @property
     def succ_padded(self) -> np.ndarray:
@@ -232,6 +236,13 @@ class _StateSpace:
     def cols(self) -> np.ndarray:
         """(E, n) column permutations of the slots: the group elements used."""
         return self._successors[3]
+
+    @property
+    def reads(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per slot, the element (row of `cols`) and the row it reads: slot
+        r < m reads row r through the identity, slot m + p the p-th of the P
+        distinct (element > 0, row) pairs that slots read, in that order."""
+        return self._successors[4]
 
     @functools.cached_property
     def stabilizers(self) -> np.ndarray:
@@ -496,8 +507,9 @@ def _retrograde(space: _StateSpace) -> tuple[np.ndarray, int]:
     cop-to-move state. States are flat indices x * n + y.
 
     On a quotient, cop steps being symmetric, (r, z) is one step from
-    (q, cols[e][z]) for each slot e * m + q of row r; and (q, w) is decided
-    with (q, s(w)) for each s in row q's stabilizer (see `_StateSpace`).
+    (q, cols[e][z]) for each slot of row r that reads row q through e (see
+    `_StateSpace.reads`); and (q, w) is decided with (q, s(w)) for each s
+    in row q's stabilizer (see `_StateSpace`).
     With twin classes a column z is a class, and a counter counts the
     robber's distinct class moves (the robber's graph is the twin quotient).
     A cop step onto a free twin of the robber's vertex leaves no trace in the
@@ -515,6 +527,7 @@ def _retrograde(space: _StateSpace) -> tuple[np.ndarray, int]:
     one = np.int32(1)  # a Python int sends np.subtract.at down its slow path
     cols = np.arange(nbrs.shape[1])
     succ, perms = space.succ_padded, space.cols
+    elem, row = space.reads
     stab = space.stabilizers if len(space.group) > 1 else None
     frontier = np.flatnonzero(occupied)
     t = 0
@@ -534,9 +547,9 @@ def _retrograde(space: _StateSpace) -> tuple[np.ndarray, int]:
             x, y = np.divmod(r, n)
             if len(perms) == 1:  # pads repeat an entry
                 pred = (succ[x] * n + y[:, None]).ravel()
-            else:  # slot e * m + q reads row q through perms[e]
-                e, q = np.divmod(succ[x], m)
-                pred = (q * n + perms[e, y[:, None]]).ravel()
+            else:
+                s = succ[x]
+                pred = (row[s] * n + perms[elem[s], y[:, None]]).ravel()
             pred = pred[C[pred] == np.inf]
             if stab is not None:
                 q, w = np.divmod(pred, n)
@@ -677,22 +690,30 @@ def _smeared(space: _StateSpace, C: np.ndarray, out: np.ndarray, scratch=None) -
 
 def _drunk_jacobi(space: _StateSpace, opts: SolveOptions):
     """`_sweeps` with 1 + the successor min of the smeared table. Each
-    sweep smears the table into stack[0] and copies it once per other group
-    element e that a slot uses, with its columns permuted by cols[e], so
-    that every slot e * m + r stays a plain row gather of the stack. Under
-    the trivial group the stack is the smear alone. With twin classes the
+    sweep smears the table into the m rows of a stack and copies each of
+    its P pair rows from its row, columns permuted by its element, so every
+    slot is a row gather (see `_StateSpace.reads`). With twin classes the
     capturable states are set to 1 (see `_StateSpace.capturable`)."""
-    cols = space.cols
-    stack = np.empty((len(cols), *space.shape))
-    plan = _min_plan(space.succ_padded, space.succ_count, space.shape[1])
+    (m, columns), cols = space.shape, space.cols
+    elem, row = space.reads
+    if (2 * m + len(row)) * columns > 3 * space.state_cap:  # as 3 tables on the full space
+        raise StateSpaceError(f"(2 x {m} table rows + {len(row)} stack rows) x {columns} robber "
+                              f"columns / 3 = {(2 * m + len(row)) * columns // 3} states "
+                              f"exceeds cap {space.state_cap}")
+    stack = np.empty((len(row), columns))
+    smear, ends = stack[:m], np.cumsum(np.bincount(elem)).tolist()  # e's slots end at ends[e]
+    per = max(1, _PIECE_ENTRIES // columns)  # pair rows per copy: its row gather is a temporary
+    copies = [(row[a: min(a + per, ends[e])], cols[e], stack[a: min(a + per, ends[e])])
+              for e in range(1, len(cols)) for a in range(ends[e - 1], ends[e], per)]
+    plan = _min_plan(space.succ_padded, space.succ_count, columns)
     scratch = None if space.twins is None else np.empty(space.shape)
 
     def step(C, out):
-        _smeared(space, C, stack[0], scratch)
-        for e in range(1, len(cols)):
+        _smeared(space, C, smear, scratch)
+        for rows, perm, pairs in copies:
             # mode="clip": with the default "raise", take fills `out` through a buffer
-            np.take(stack[0], cols[e], axis=1, out=stack[e], mode="clip")
-        _gathered_min(plan, stack.reshape(-1, space.shape[1]), out)
+            np.take(smear[rows], perm, axis=1, out=pairs, mode="clip")
+        _gathered_min(plan, stack, out)
         out += 1.0
         flat = out.reshape(-1)
         if space.capturable is not None:
@@ -793,7 +814,7 @@ def _drunk_start(
     """The optimal start and drunk capture time of `solve_drunk`, and its
     sweep stats, without the policy: `_drunk_table` with `symmetric`, so
     Jacobi runs on the quotient by the graph's declared group, whose cap
-    counts orbit rows and the table copies they need (see `_StateSpace`).
+    counts orbit rows and stack rows (see `_StateSpace`).
     The start is the first member of the first orbit whose mean is within
     `_near_min` of the least; a row's mean weighs each class column by its
     free members. On twin-free graphs of maximum degree 2 (paths, cycles)

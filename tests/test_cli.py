@@ -191,6 +191,16 @@ def test_trial_budget_exits_3(capsys, monkeypatch):
     assert code == 0
 
 
+def test_greedy_distance_table_exits_3(capsys, monkeypatch):
+    # grid(13): 169 vertices, a 114,244-byte int32 distance table
+    monkeypatch.setattr(cc.montecarlo, "MAX_TRIAL_BYTES", 100_000)
+    cops = ["simulate", "--family", "grid", "--n", "13", "--mode", "random-cops", "--k", "1",
+            "--trials", "1", "--seed", "1"]
+    code, out, err = run_cli(capsys, *cops)
+    assert code == 3 and out == "" and "114244-byte distance table" in err
+    assert run_cli(capsys, *cops, "--evader", "uniform")[0] == 0
+
+
 @pytest.mark.parametrize("message", ["", "cannot allocate 8 GiB"])
 def test_memory_error_exits_3(capsys, monkeypatch, message):
     def exhausted(args):

@@ -27,10 +27,10 @@ def enumerate_random_cops(g, evader, horizon):
     heuristic, uniform closed-neighborhood cop steps, capture checked after
     each phase.
     """
-    from copchase.graphs import distance_matrix
+    from copchase.graphs import _bfs_distances
 
     n = g.n
-    dmat = distance_matrix(g)
+    dmat = [_bfs_distances(g, v) for v in range(n)]  # one plain BFS per vertex
     states = {}  # (cop, robber) -> probability
     captured = {0: 0.0}
     for c in range(n):
@@ -409,16 +409,41 @@ def test_undefined_policy_is_reported_from_a_later_piece(monkeypatch):
 
 
 def test_uniform_evader_needs_no_distances(monkeypatch):
-    # only the greedy evader reads distances; the all-pairs BFS is its cost
+    # only the greedy evader reads distances; the all-pairs table is its cost
     def no_distances(g):
-        raise AssertionError("distance_matrix called")
+        raise AssertionError("distance_table called")
 
-    monkeypatch.setattr(montecarlo, "distance_matrix", no_distances)
+    monkeypatch.setattr(montecarlo, "distance_table", no_distances)
     g = random_connected_graph(77, 9, 0.3)
     report = cc.simulate_random_cops(g, 2, "uniform-random", 400, seed=14)
     assert report.to_json() == PINNED_REPORTS["random-cops-uniform"]
-    with pytest.raises(AssertionError, match="distance_matrix"):
+    with pytest.raises(AssertionError, match="distance_table"):
         cc.simulate_random_cops(g, 1, "max-distance-greedy", 10, seed=13)
+
+
+@pytest.mark.parametrize("g", [cc.path(1), cc.path(2), cc.cycle(9), cc.grid(6),
+                               cc.barbell(6, 1.0), cc.complete_tree(3, 3)]
+                         + [random_connected_graph(seed, n, p) for seed, n, p in
+                            [(1, 12, 0.1), (2, 30, 0.3), (3, 25, 0.8)]],
+                         ids=lambda g: repr(g))
+def test_distance_table_matches_bfs(g):
+    from copchase.graphs import _bfs_distances
+
+    table = montecarlo.distance_table(g)
+    assert table.dtype == np.int32 and table.shape == (g.n, g.n)
+    assert table.tolist() == [_bfs_distances(g, v) for v in range(g.n)]
+
+
+def test_greedy_distance_table_is_in_the_budget(monkeypatch):
+    # the greedy evader's int32 (n x n) distance table counts against the
+    # trial budget before it is built; the uniform evader builds none
+    g = cc.grid(10)
+    need = 50 * montecarlo.trial_bytes(2)
+    monkeypatch.setattr(montecarlo, "MAX_TRIAL_BYTES", need + 4 * g.n**2 - 1)
+    monkeypatch.setattr(montecarlo, "distance_table", lambda g: pytest.fail("table built"))
+    with pytest.raises(cc.TrialBudgetError, match="40000-byte distance table"):
+        cc.simulate_random_cops(g, 2, "max-distance-greedy", 50, seed=1)
+    cc.simulate_random_cops(g, 2, "uniform-random", 50, seed=1)
 
 
 def test_all_censored_report_is_valid_json():

@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 import random
 import tracemalloc
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 import copchase as cc
+from copchase import solver
 from copchase.solver import SweepStats, _drunk_start, _StateSpace
 
 from conftest import complete_graph, minimax_capture_value, random_connected_graph
@@ -132,6 +134,76 @@ def test_drunk_memory_in_bytes():
     assert peak <= 6 * sol.values.values.nbytes
 
 
+def test_quotient_drunk_memory_in_bytes():
+    # the quotient Jacobi stacks the m smear rows and the P pair rows that
+    # slots read (G10 k=2: 675 + 833), not a copy of all m rows per group
+    # element in use (8 x 675), which peaked at 11.9 tables
+    g = cc.grid(10)
+    g._neighbor_table(closed=True)
+    space = _StateSpace(g, 2, math.inf, symmetric=True)
+    tracemalloc.start()
+    try:
+        _drunk_start(g, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7 * space.m * space.shape[1] * 8
+
+
+def read_pairs(q):
+    """The distinct (column permutation, row) pairs through a non-identity
+    group element that the successors of q's rows read, found by listing
+    every cop step of every row and canonicalizing it on its own."""
+    table = solver._rank_table(q.n, q.k)
+    ranks = solver._ranks(np.array(q.configs), table)
+    pairs = set()
+    for cfg in q.configs:
+        steps = np.sort(np.array(list(itertools.product(
+            *(q.g.closed_neighbors(v) for v in cfg)))), axis=1)
+        rank, elem = solver._canonical(q._twin_canonical(steps), q.group, table,
+                                       q._twin_canonical)
+        rows = np.searchsorted(ranks, rank)
+        assert np.array_equal(ranks[rows], rank)
+        pairs |= {(tuple(q.col_group[e].tolist()), r)
+                  for e, r in zip(elem.tolist(), rows.tolist()) if e}
+    return pairs
+
+
+@pytest.mark.parametrize("g,k", [
+    (cc.cycle(8), 2), (cc.cycle(9), 3), (cc.grid(4), 2), (cc.grid(3), 3),
+    (cc.barbell(6, 1.0), 1), (cc.barbell(4, 1.0), 2), (cc.path(9), 2),
+    (cc.complete_tree(2, 3), 1), (cc.complete_tree(2, 2), 2)],
+    ids=["C8k2", "C9k3", "G4k2", "G3k3", "B6", "B4k2", "P9k2", "T23", "T22k2"])
+@pytest.mark.parametrize("piece_entries", [1, solver._PIECE_ENTRIES])
+def test_jacobi_stack_holds_the_read_pairs(g, k, piece_entries, monkeypatch):
+    # the stack is the smear's m rows, then exactly the P pairs that some
+    # slot reads, each its row's smear with its element's columns permuted;
+    # pair rows are copied a piece at a time, here also one row per piece
+    monkeypatch.setattr(solver, "_PIECE_ENTRIES", piece_entries)
+    q = _StateSpace(g, k, math.inf, symmetric=True)
+    m, columns = q.shape
+    elem, row = q.reads
+    pairs = read_pairs(q)
+    assert len(row) == m + len(pairs)
+    assert np.array_equal(elem[:m], np.zeros(m)) and np.array_equal(row[:m], np.arange(m))
+    assert {(tuple(q.cols[e].tolist()), r)
+            for e, r in zip(elem[m:].tolist(), row[m:].tolist())} == pairs
+    slots = np.concatenate([s[:c] for s, c in zip(q.succ_padded, q.succ_count)])
+    assert set(slots.tolist()) >= set(range(m, len(row)))  # every pair row is read
+    stacks = []
+    gathered_min = solver._gathered_min
+
+    def spy(plan, table, out):
+        stacks.append(table.copy())
+        return gathered_min(plan, table, out)
+
+    monkeypatch.setattr(solver, "_gathered_min", spy)
+    solver._drunk_jacobi(q, cc.SolveOptions(max_sweeps=3, tolerance=1e300))
+    stack = stacks[-1]
+    assert stack.shape == (m + len(pairs), columns)
+    assert np.array_equal(stack[m:], stack[row[m:, None], q.cols[elem[m:]]])
+
+
 def test_cop_number():
     assert cc.cop_number(cc.path(6)) == 1
     assert cc.cop_number(cc.cycle(7)) == 2
@@ -206,17 +278,47 @@ def test_state_cap_raises_before_allocation():
 
 
 def test_quotient_cap_counts_the_permuted_copies():
-    # Jacobi on a quotient holds C, its update and one smear copy per group
-    # element that a slot uses, 2 + E tables where the full space holds 3;
-    # the cap bounds them as it bounds the full space's
+    # Jacobi on a quotient holds C, its update and a stack of the m smear rows
+    # and the P permuted pair rows that slots read, counted as (3m + P) x
+    # columns / 3 where the full space's 3 tables count m x n; the retrograde
+    # pass holds orbit rows x columns, and answers where Jacobi is refused
     g = cc.grid(5)
     space = _StateSpace(g, 2, math.inf, symmetric=True)
-    E = len(space.cols)
-    assert E > 1 and space.m * g.n * 3 < math.comb(26, 2) * g.n
-    fits = -(-space.m * g.n * (2 + E) // 3)
+    m, rows = space.m, len(space.reads[1])
+    assert m < rows < len(space.cols) * m and m * g.n * 3 < math.comb(26, 2) * g.n
+    fits = -(-(2 * m + rows) * g.n // 3)
     assert cc.drunk_capture_time(g, 2, state_cap=fits) == cc.drunk_capture_time(g, 2)
-    with pytest.raises(cc.StateSpaceError, match="group elements"):
+    with pytest.raises(cc.StateSpaceError, match=f"{rows} stack rows"):
         cc.drunk_capture_time(g, 2, state_cap=fits - 1)
+    assert cc.capture_time(g, 2, state_cap=fits - 1) == cc.capture_time(g, 2) == 4
+    assert cc.capture_time(g, 2, state_cap=m * g.n) == 4
+
+
+def test_lumped_cap_counts_twin_classes():
+    # the up-front bound counts C(c+k-1, k) x c for c twin classes, not the
+    # vertices: L(20, 0.41) has 27 vertices in 21 classes, and its lumped
+    # k=1 space of 21 x 21 states solves at a cap the vertex count refuses
+    g = cc.lollipop(20, 0.41)
+    space = _StateSpace(g, 1, math.inf, symmetric=True)
+    assert g.n == 27 and space.shape == (21, 21)
+    cap = 21 * 21
+    assert cc.drunk_capture_time(g, 1, state_cap=cap) == cc.drunk_capture_time(g, 1)
+    assert cc.capture_time(g, 1, state_cap=cap) == cc.capture_time(g, 1)
+    with pytest.raises(cc.StateSpaceError, match="x 21 robber columns"):
+        cc.drunk_capture_time(g, 1, state_cap=cap - 1)
+    with pytest.raises(cc.StateSpaceError):  # the full space counts every vertex
+        cc.solve_drunk(g, 1, state_cap=cap)
+
+
+def test_search_table_bytes_are_capped():
+    # the orbit search marks one byte per configuration, held to the 8 bytes
+    # per state of a table at the cap: a star's leaves are one twin class, so
+    # 3 cops on K(1, 59) have 4 x 4 lumped states but C(62, 3) = 37,820
+    # configurations
+    g = cc.Graph(60, [(0, v) for v in range(1, 60)])
+    with pytest.raises(cc.StateSpaceError, match="37820-byte configuration search"):
+        cc.capture_time(g, 3, state_cap=37820 // 8)
+    assert cc.capture_time(g, 3, state_cap=-(-37820 // 8)) == 1
 
 
 def test_convergence_error_carries_residual():
