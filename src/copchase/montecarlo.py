@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import FixedStrategy, _cops_can_move, _round_cap, validate_strategy
-from .graphs import Graph
-from .solver import _distinct, _occupancy, _slices
+from .graphs import Graph, _bfs_distances
+from .solver import _occupancy
 from .tables import FeedbackPolicy, _config_rank
 
 RNG_NAME = "philox4x64"
@@ -67,21 +67,11 @@ def check_trials(trials: int, cop_columns: int, table_bytes: int = 0) -> None:
 
 
 def distance_table(g: Graph) -> np.ndarray:
-    """All-pairs distances, an (n, n) int32 table: breadth-first search
-    from every source at once, over the pairs source * n + vertex."""
-    n, (nbrs, _) = g.n, g._neighbor_table(closed=False)
-    dist = np.full(n * n, -1, dtype=np.int32)
-    frontier = np.arange(n) * (n + 1)
-    dist[frontier] = level = 0
-    while frontier.size:
-        level += 1
-        found = [frontier[:0]]
-        for f in _slices(frontier, nbrs.shape[1] or 1):  # pads repeat a neighbour
-            pairs = (f - f % n)[:, None] + nbrs[f % n]
-            found.append(_distinct(pairs[dist[pairs] == -1], dist))  # scratch until set
-            dist[found[-1]] = level
-        frontier = np.concatenate(found)
-    return dist.reshape(n, n)
+    """All-pairs distances, an (n, n) int32 table filled one BFS row at a time."""
+    dmat = np.empty((g.n, g.n), dtype=np.int32)
+    for v in range(g.n):
+        dmat[v] = _bfs_distances(g, v)
+    return dmat
 
 
 @dataclass(frozen=True)

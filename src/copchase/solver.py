@@ -82,8 +82,8 @@ class _StateSpace:
     (checked as rows are found); quotient Jacobi, (3m + P) x columns / 3 for
     two tables and m + P stack rows (see `_drunk_jacobi`); the full space,
     m x n, as its three tables count. Up front it bounds C(c+k-1, k) x c /
-    (declared group order) for c columns, and the search's byte per
-    configuration (see `_successors`) by a table at the cap.
+    (declared group order) for c columns, and by a table at the cap the
+    bytes the search marks and lists (see `_successors`).
 
     Values are invariant under the group: if s maps a successor x' of a row
     onto the row r, the value at (x', y) is the value at (r, s(y)). So a
@@ -109,11 +109,19 @@ class _StateSpace:
         c, order = self.robber.n, len(self.group)
         m = math.comb(c + k - 1, k)  # distinct twin orbits, and at least m / |G| orbits
         if m * c > state_cap * order:
-            raise StateSpaceError(f"{m} configurations x {c} robber columns / {order} symmetries"
-                                  f" = {m * c // order}+ states exceeds cap {state_cap}")
-        if math.comb(n + k - 1, k) > 8 * state_cap:
-            raise StateSpaceError(f"{math.comb(n + k - 1, k)}-byte configuration search exceeds "
-                                  f"a table at cap {state_cap}")
+            per = "" if order == 1 else f" / {order} symmetries"
+            what, more = ("vertices", per and "+") if self.twins is None else ("columns", "+")
+            raise StateSpaceError(f"{m} configurations x {c} robber {what}{per} = "
+                                  f"{m * c // order}{more} states exceeds cap {state_cap}")
+        # the search marks a byte per configuration; with twins it lists one
+        # row's cop steps at once, and under the trivial group every
+        # configuration first (`least_configs`), peaking near 10 int64 per cop
+        search = math.comb(n + k - 1, k)
+        listed = 0 if self.twins is None else max(
+            (max(map(len, g.adjacency)) + 1) ** k, search if order == 1 else 0)
+        if max(search, 12 * 8 * k * listed) > 8 * state_cap:
+            raise StateSpaceError(f"configuration search over {search} configurations, {listed} "
+                                  f"listed at once, exceeds a table at cap {state_cap}")
         self.g = g
         self.n = n
         self.k = k
@@ -702,17 +710,15 @@ def _drunk_jacobi(space: _StateSpace, opts: SolveOptions):
                               f"exceeds cap {space.state_cap}")
     stack = np.empty((len(row), columns))
     smear, ends = stack[:m], np.cumsum(np.bincount(elem)).tolist()  # e's slots end at ends[e]
-    per = max(1, _PIECE_ENTRIES // columns)  # pair rows per copy: its row gather is a temporary
-    copies = [(row[a: min(a + per, ends[e])], cols[e], stack[a: min(a + per, ends[e])])
-              for e in range(1, len(cols)) for a in range(ends[e - 1], ends[e], per)]
     plan = _min_plan(space.succ_padded, space.succ_count, columns)
     scratch = None if space.twins is None else np.empty(space.shape)
 
     def step(C, out):
         _smeared(space, C, smear, scratch)
-        for rows, perm, pairs in copies:
+        for e in range(1, len(cols)):
             # mode="clip": with the default "raise", take fills `out` through a buffer
-            np.take(smear[rows], perm, axis=1, out=pairs, mode="clip")
+            np.take(smear[row[ends[e - 1]: ends[e]]], cols[e], axis=1,
+                    out=stack[ends[e - 1]: ends[e]], mode="clip")
         _gathered_min(plan, stack, out)
         out += 1.0
         flat = out.reshape(-1)

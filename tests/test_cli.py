@@ -347,6 +347,14 @@ def test_infeasible_exit_code(capsys):
     assert code == 3
 
 
+def test_lumped_search_exits_3_at_the_default_cap(capsys):
+    # L(10, 60): 609 vertices in 11 twin classes, so its 3-cop lumped space
+    # is small, but it has C(611, 3) configurations to list and canonicalize
+    code, out, err = run_cli(capsys, "ct", "--family", "lollipop", "--n", "10", "--c", "60",
+                             "--k", "3")
+    assert code == 3 and out == "" and "217081801 listed at once" in err
+
+
 def test_state_cap_env(capsys, monkeypatch):
     monkeypatch.setenv("COPCHASE_STATE_CAP", "10")
     code, _, err = run_cli(capsys, "dct", "--family", "path", "--n", "6", "--k", "1")

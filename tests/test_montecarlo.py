@@ -421,17 +421,20 @@ def test_uniform_evader_needs_no_distances(monkeypatch):
         cc.simulate_random_cops(g, 1, "max-distance-greedy", 10, seed=13)
 
 
-@pytest.mark.parametrize("g", [cc.path(1), cc.path(2), cc.cycle(9), cc.grid(6),
-                               cc.barbell(6, 1.0), cc.complete_tree(3, 3)]
-                         + [random_connected_graph(seed, n, p) for seed, n, p in
-                            [(1, 12, 0.1), (2, 30, 0.3), (3, 25, 0.8)]],
-                         ids=lambda g: repr(g))
-def test_distance_table_matches_bfs(g):
-    from copchase.graphs import _bfs_distances
-
-    table = montecarlo.distance_table(g)
-    assert table.dtype == np.int32 and table.shape == (g.n, g.n)
-    assert table.tolist() == [_bfs_distances(g, v) for v in range(g.n)]
+def test_distance_table_memory_in_bytes():
+    # the greedy evader's table is filled one BFS row at a time, so its 4n^2
+    # bytes are the peak, also on a star, where a search from every source
+    # at once would hold n^2 (source, vertex) pairs at its second level
+    g = cc.Graph(600, [(0, v) for v in range(1, 600)])
+    tracemalloc.start()
+    try:
+        table = montecarlo.distance_table(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.dtype == np.int32 and table.shape == (600, 600)
+    assert table[0, 1] == 1 and table[1, 2] == 2 and table.trace() == 0
+    assert peak <= 4 * 600**2 + 64_000
 
 
 def test_greedy_distance_table_is_in_the_budget(monkeypatch):

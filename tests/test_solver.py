@@ -174,12 +174,9 @@ def read_pairs(q):
     (cc.barbell(6, 1.0), 1), (cc.barbell(4, 1.0), 2), (cc.path(9), 2),
     (cc.complete_tree(2, 3), 1), (cc.complete_tree(2, 2), 2)],
     ids=["C8k2", "C9k3", "G4k2", "G3k3", "B6", "B4k2", "P9k2", "T23", "T22k2"])
-@pytest.mark.parametrize("piece_entries", [1, solver._PIECE_ENTRIES])
-def test_jacobi_stack_holds_the_read_pairs(g, k, piece_entries, monkeypatch):
+def test_jacobi_stack_holds_the_read_pairs(g, k, monkeypatch):
     # the stack is the smear's m rows, then exactly the P pairs that some
-    # slot reads, each its row's smear with its element's columns permuted;
-    # pair rows are copied a piece at a time, here also one row per piece
-    monkeypatch.setattr(solver, "_PIECE_ENTRIES", piece_entries)
+    # slot reads, each its row's smear with its element's columns permuted
     q = _StateSpace(g, k, math.inf, symmetric=True)
     m, columns = q.shape
     elem, row = q.reads
@@ -310,15 +307,28 @@ def test_lumped_cap_counts_twin_classes():
         cc.solve_drunk(g, 1, state_cap=cap)
 
 
-def test_search_table_bytes_are_capped():
-    # the orbit search marks one byte per configuration, held to the 8 bytes
-    # per state of a table at the cap: a star's leaves are one twin class, so
-    # 3 cops on K(1, 59) have 4 x 4 lumped states but C(62, 3) = 37,820
-    # configurations
-    g = cc.Graph(60, [(0, v) for v in range(1, 60)])
-    with pytest.raises(cc.StateSpaceError, match="37820-byte configuration search"):
-        cc.capture_time(g, 3, state_cap=37820 // 8)
-    assert cc.capture_time(g, 3, state_cap=-(-37820 // 8)) == 1
+@pytest.mark.parametrize("g,listed", [
+    (cc.Graph(30, [(0, v) for v in range(1, 30)]), 30**3),  # steps from the centre
+    (cc.complete_tree(2, 3), math.comb(17, 3))],  # every configuration
+    ids=["star", "tree"])
+def test_search_is_capped_in_bytes(g, listed):
+    # with twins the orbit search lists and canonicalizes one row's cop steps
+    # at once, and under the trivial group every configuration first, counted
+    # as 12 int64 per cop each against the 8 bytes per state of a table at
+    # the cap: 3 cops on K(1, 29) have 7 x 2 lumped states but 30^3 steps
+    # from the centre; on T(2, 3), C(17, 3) configurations and 4^3 steps.
+    # The search also lists a slice of steps from several rows at once.
+    fits = 12 * 3 * listed
+    with pytest.raises(cc.StateSpaceError, match=f"{listed} listed at once"):
+        cc.capture_time(g, 3, state_cap=fits - 1)
+    g._neighbor_table(closed=True)
+    tracemalloc.start()
+    try:
+        assert cc.capture_time(g, 3, state_cap=fits) == cc.capture_time(g, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * fits + 12 * 8 * 3 * solver._SLICE_ENTRIES
 
 
 def test_convergence_error_carries_residual():
