@@ -67,9 +67,9 @@ def base_transition(g: Graph) -> np.ndarray:
     n = g.n
     if n < 2:
         raise ValueError("base_transition requires n >= 2: the robber must move")
-    table, deg = g._neighbor_table(closed=False)
+    flat, _, deg = g._neighbor_table(closed=False)
     mat = np.zeros((n + 1, n + 1))
-    mat[np.arange(n)[:, None], table] = (1.0 / deg)[:, None]  # pads repeat an entry
+    mat[np.repeat(np.arange(n), deg), flat] = np.repeat(1.0 / deg, deg)
     mat[n, n] = 1.0
     return mat
 
@@ -261,10 +261,9 @@ def fixed_strategy_capture_distribution(
     if max_rounds is None:
         max_rounds = default_round_cap(g)
     n = g.n
-    table, deg = g._neighbor_table(closed=False)
-    # probability of each table entry, 0 on the pads; on one vertex the table
-    # is empty, and placement captures all the mass
-    step = (np.arange(table.shape[1]) < deg[:, None]) / np.maximum(deg, 1)[:, None]
+    flat, _, deg = g._neighbor_table(closed=False)
+    # on one vertex there is no step, and placement captures all the mass
+    step = 1.0 / np.maximum(deg, 1)
     pi = np.full(n, 1.0 / n)  # uncaptured robber mass on each vertex
     masses = [_capture(pi, strategy.configs[0])]
     captured = masses[0]
@@ -273,7 +272,7 @@ def fixed_strategy_capture_distribution(
         t += 1
         cops = strategy.config_at(t)
         mass = _capture(pi, cops)  # the cops step onto the robber
-        pi = np.bincount(table.ravel(), (pi[:, None] * step).ravel(), n)
+        pi = np.bincount(flat, np.repeat(pi * step, deg), n)
         mass += _capture(pi, cops)  # the robber steps onto a cop
         masses.append(mass)
         captured += mass

@@ -57,15 +57,14 @@ class Graph:
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
-    def _neighbor_table(self, closed: bool) -> tuple[np.ndarray, np.ndarray]:
-        """Sorted open or closed neighbourhoods as an (n, widest row) int64
-        table, and the row sizes; built once per graph, shared by every layer
-        that steps the robber or the cops. Short rows repeat their first
-        entry: table[v, floor(u * size[v])] is uniform for u in [0, 1), and a
-        first-hit argmax or argmin never picks a pad."""
+    def _neighbor_table(self, closed: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Sorted open or closed neighbourhoods laid end to end as int64, each
+        row's start and each row's size; built once per graph, shared by every
+        layer that steps the robber or the cops. Row v is flat[start[v]:][:size[v]],
+        and flat[start[v] + floor(u * size[v])] is uniform over it for u in [0, 1)."""
         if self._tables is None:
             closed_rows = [self.closed_neighbors(v) for v in range(self.n)]
-            object.__setattr__(self, "_tables", (_padded(self.adjacency), _padded(closed_rows)))
+            object.__setattr__(self, "_tables", (_laid(self.adjacency), _laid(closed_rows)))
         return self._tables[1 if closed else 0]
 
     @property
@@ -134,23 +133,26 @@ def validate(g: Graph) -> GraphDiagnostics:
     return GraphDiagnostics(connected=True, diameter=diameter, max_degree=max_degree)
 
 
-def _padded(rows: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """Rows as one int64 table, short rows padded with their first entry, and their sizes."""
-    size = np.array([len(row) for row in rows], dtype=np.int64)
+def _laid(rows: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows laid end to end as int64, each row's start and each row's size."""
+    size = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
     flat = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64, count=int(size.sum()))
-    return _padded_flat(flat, size), size
+    return flat, np.cumsum(size) - size, size
+
+
+def _ragged(start: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """The indices start[i], ..., start[i] + size[i] - 1 of each row i, laid end to end."""
+    ends = size.cumsum()  # methods: small slices pay for np.cumsum's dispatch
+    return np.arange(ends[-1] if len(ends) else 0) + (start - ends + size).repeat(size)
 
 
 def _padded_flat(flat: np.ndarray, size: np.ndarray) -> np.ndarray:
-    """The table of `_padded` from its rows laid end to end in flat, row i
-    holding size[i] entries."""
-    table = np.empty((len(size), int(size.max())), dtype=np.int64)
-    start = np.cumsum(size) - size
-    row = np.repeat(np.arange(len(size)), size)
-    table[row, np.arange(len(flat)) - start[row]] = flat
-    pad = np.arange(table.shape[1]) >= size[:, None]  # on a single vertex, row and pad are empty
-    table[pad] = np.broadcast_to(table[:, :1], table.shape)[pad]
-    return table
+    """Rows laid end to end in flat, row i holding size[i] >= 1 entries, as
+    one table as wide as the widest, short rows padded with their first entry."""
+    width = np.arange(int(size.max()))
+    at = np.where(width < size[:, None], width, 0)
+    at += (np.cumsum(size) - size)[:, None]
+    return flat[at]
 
 
 def _declared(g: Graph, symmetries: Callable[[], Sequence]) -> Graph:
@@ -234,10 +236,10 @@ def twin_quotient(g: Graph, label: np.ndarray) -> Graph:
     classes = int(label.max()) + 1
     first = np.full(classes, g.n)
     np.minimum.at(first, label, np.arange(g.n))
-    table, deg = g._neighbor_table(closed=False)
-    ends = label[table[first]]
-    ends[np.arange(table.shape[1]) >= deg[first][:, None]] = -1  # pads
-    codes = (np.arange(classes)[:, None] * classes + ends)[ends > np.arange(classes)[:, None]]
+    flat, start, deg = g._neighbor_table(closed=False)
+    row = np.repeat(np.arange(classes), deg[first])
+    ends = label[flat[_ragged(start[first], deg[first])]]
+    codes = (row * classes + ends)[ends > row]
     codes = np.sort(codes, kind="stable")
     codes = codes[np.concatenate(([True], codes[1:] != codes[:-1]))[:len(codes)]]
     return Graph(classes, zip(*(half.tolist() for half in np.divmod(codes, classes))))
@@ -435,7 +437,7 @@ def relabel(g: Graph, perm: Sequence[int]) -> Graph:
 
 
 def read_edge_list(source: str | TextIO) -> Graph:
-    """Parse the edge-list text format; rejects duplicates and self-loops."""
+    """Parse the edge-list text format; rejects duplicates, self-loops, unconnectable headers."""
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as fh:
             return read_edge_list(fh)
@@ -449,6 +451,8 @@ def read_edge_list(source: str | TextIO) -> Graph:
         n, m = int(header[0]), int(header[1])
     except ValueError as exc:
         raise GraphError(f"bad header {lines[0]!r}") from exc
+    if n > m + 1:  # checked before Graph allocates a set per vertex
+        raise GraphError(f"graph is not connected: {n} vertices need at least {n - 1} edges")
     if len(lines) - 1 != m:
         raise GraphError(f"expected {m} edge lines, found {len(lines) - 1}")
     edges = []

@@ -8,9 +8,10 @@ swap that fixes the row exchanges them; occupied members are worth 0. So a
 table keeps one robber column per class, holding its free members' value,
 and a row is the least configuration of its orbit. `TwinColumns` holds what
 such a table needs: the least configuration twin swaps reach, the members
-each row occupies, the walk between classes and the correction for the
-occupied members it counts, and the states where a cop steps onto the
-robber, which a class column cannot record.
+each row occupies, the robber's steps between classes (read off one member's
+neighbour row per class) and the correction for the occupied members they
+count, and the states where a cop steps onto the robber, which a class
+column cannot record.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import itertools
 
 import numpy as np
 
-from .graphs import Graph, _padded_flat, twin_classes, twin_quotient
+from .graphs import Graph, _ragged, twin_classes, twin_quotient
 
 
 class TwinColumns:
@@ -87,56 +88,48 @@ class TwinColumns:
         np.add.at(taken, (rows[distinct], self.label[cfgs[distinct]]), 1)
         return taken == self.size, (self.size - taken).astype(float)
 
-    def walk(self) -> np.ndarray:
-        """The robber's walk between classes: walk[K, L] is the share of
-        N(y) in class L for y in class K, which is equal over twins."""
-        table, deg = self.g._neighbor_table(closed=False)
-        reps = self.members[self.first]
-        step = np.arange(table.shape[1]) < deg[reps][:, None]  # no pads
-        rows = np.broadcast_to(np.arange(len(reps))[:, None], step.shape)[step]
-        walk = np.zeros((len(reps), len(reps)))
-        np.add.at(walk, (rows, self.label[table[reps]][step]), 1.0)
-        return walk / deg[reps][:, None]
-
-    def smear_plan(self, walk: np.ndarray, cfgs: np.ndarray, occupied: np.ndarray):
-        """What `smear` reads: the walk as padded (width x columns) class
-        and weight tables over its nonzeros; and per cop slot i, the flat
-        indices of the states of the rows cfgs (occupied: their `occupied`
+    def smear_plan(self, cfgs: np.ndarray, occupied: np.ndarray):
+        """What `smear` reads: the robber's steps between classes as (width x
+        columns) class and weight tables, column K listing in ascending order
+        the classes L that N(y) meets for y in class K, with the share of N(y)
+        in L (equal over twins) and weight 0 below; and per cop slot i, the
+        flat indices of the states of the rows cfgs (occupied: their `occupied`
         mask) whose robber neighbours the row's i-th cop, the flat index of
-        that cop's class column, and the weight 1 / deg of the robber's
-        vertex. Only a cop in
-        a class that keeps free members counts, each vertex once, and not
-        for the robber on a twin of the cop: every state one cop step before
-        such a state is capturable, and reads no smear."""
-        columns = len(walk)
-        rows, cols = np.nonzero(walk)
-        count = np.bincount(rows, minlength=columns)
-        cols = _padded_flat(cols, count)
-        weight = walk[np.arange(columns)[:, None], cols]
-        weight[np.arange(cols.shape[1]) >= count[:, None]] = 0.0  # pads add nothing
-        gather = cols.T.copy(), weight.T.copy()  # contiguous rows read faster
-        table, size = self.robber._neighbor_table(closed=False)
-        inv_deg = 1.0 / self.g._neighbor_table(closed=False)[1][self.members[self.first]]
+        that cop's class column, and the weight 1 / deg of the robber's vertex.
+        Only a cop in a class that keeps free members counts, each vertex once,
+        and not for the robber on a twin of the cop: every state one cop step
+        before such a state is capturable, and reads no smear."""
+        flat, start, deg = self.g._neighbor_table(closed=False)
+        reps = self.members[self.first]
+        columns, deg = len(reps), deg[reps]
+        steps = self.label[flat[_ragged(start[reps], deg)]]
+        # each class's neighbour classes, sorted: a run of one class is one entry
+        key = np.sort(np.repeat(np.arange(columns) * columns, deg) + steps, kind="stable")
+        head = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+        row, cls = np.divmod(key[head], columns)
+        at = np.arange(len(row)) - np.searchsorted(row, row)  # place in its row
+        cols = np.zeros((at.max() + 1, columns), dtype=np.int64)
+        weight = np.zeros(cols.shape)
+        cols[at, row], weight[at, row] = cls, np.diff(head, append=len(key)) / deg[row]
+        flat, start, size = self.robber._neighbor_table(closed=False)
         corrections = []
         for i in range(cfgs.shape[1]):
             cop = self.label[cfgs[:, i]]
             keep = ~occupied[np.arange(len(cfgs)), cop] & (self.size[cop] > 1)
             if i:
                 keep &= cfgs[:, i] != cfgs[:, i - 1]
-            row, cop = np.flatnonzero(keep), cop[keep]
-            near = np.arange(table.shape[1]) < size[cop][:, None]  # no pads
-            dst = table[cop][near]
-            row = np.broadcast_to(row[:, None], near.shape)[near]
-            src = np.broadcast_to(cop[:, None], near.shape)[near]
-            corrections.append((row * columns + dst, row * columns + src, inv_deg[dst]))
-        return gather, corrections
+            row, cop = np.flatnonzero(keep) * columns, cop[keep]
+            dst = flat[_ragged(start[cop], size[cop])]
+            row, src = np.repeat(row, size[cop]), np.repeat(row + cop, size[cop])
+            corrections.append((row + dst, src, 1.0 / deg[dst]))
+        return (cols, weight), corrections
 
     def smear(self, plan, C: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
-        """out = the smear of the class table C by the walk's `smear_plan`,
-        before the occupied columns are zeroed: C times the walk's
-        transpose, a gather-add over its nonzeros through `scratch`, a table
-        like out, which counts every member of a class at the class's free
-        value; minus the members a cop occupies, a rank-k correction."""
+        """out = the smear of the class table C by `smear_plan`, before the
+        occupied columns are zeroed: a gather-add over the classes each
+        class steps to, through `scratch`, a table like out, which counts
+        every member of a class at the class's free value; minus the members
+        a cop occupies, a rank-k correction."""
         (cols, weight), corrections = plan
         # mode="clip": with the default "raise", take fills `out` through a buffer
         np.take(C, cols[0], axis=1, out=out, mode="clip")
@@ -153,10 +146,10 @@ class TwinColumns:
         """Flat indices of the free states of the rows cfgs (occupied: their
         `occupied` mask) where a cop can step onto the robber; their value
         is 1."""
-        table, _ = self.robber._neighbor_table(closed=False)
+        flat, start, size = self.robber._neighbor_table(closed=False)
         near = np.zeros(occupied.shape, dtype=bool)
         rows = np.arange(len(cfgs))
         for cls in self.label[cfgs].T:
-            near[rows[:, None], table[cls]] = True  # pads repeat an entry
+            near[np.repeat(rows, size[cls]), flat[_ragged(start[cls], size[cls])]] = True
             near[rows, cls] |= self.closed[cls]
         return np.flatnonzero(near & ~occupied)

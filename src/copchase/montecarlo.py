@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import FixedStrategy, _cops_can_move, _round_cap, validate_strategy
-from .graphs import Graph, _bfs_distances
+from .graphs import Graph, _bfs_distances, _padded_flat
 from .solver import _occupancy
 from .tables import FeedbackPolicy, _config_rank
 
@@ -53,16 +53,16 @@ def trial_bytes(cop_columns: int) -> int:
     return 8 + 2 * (8 + 4 * (1 + cop_columns)) + 2 + 8
 
 
-def check_trials(trials: int, cop_columns: int, table_bytes: int = 0) -> None:
+def check_trials(trials: int, cop_columns: int, tables: tuple = ()) -> None:
     """SimulationError unless 1 <= trials, and TrialBudgetError if their
-    state and a `table_bytes` distance table would exceed MAX_TRIAL_BYTES;
+    state and the (bytes, name) `tables` would exceed MAX_TRIAL_BYTES;
     raised before anything is allocated."""
     if trials < 1:
         raise SimulationError("trials must be >= 1")
     need = trials * trial_bytes(cop_columns)
-    if need + table_bytes > MAX_TRIAL_BYTES:
-        table = f" and a {table_bytes}-byte distance table" if table_bytes else ""
-        raise TrialBudgetError(f"{trials} trials need {need} bytes of trial state{table}, "
+    if need + sum(size for size, _ in tables) > MAX_TRIAL_BYTES:
+        held = "".join(f" and a {size}-byte {name}" for size, name in tables)
+        raise TrialBudgetError(f"{trials} trials need {need} bytes of trial state{held}, "
                                f"over the budget of {MAX_TRIAL_BYTES}")
 
 
@@ -185,6 +185,17 @@ def _drawn(gen: np.random.Generator, alive: np.ndarray, buf: np.ndarray):
         a = b
 
 
+def _uniform_entries(rows: tuple, at: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Entry floor(u * size[v]) of each row v in `at` of `rows`, the (flat,
+    first, size) of `Graph._neighbor_table`, for draws u in [0, 1). The int64
+    index is written over u: a piece of k cops holds 3 x 8k bytes a trial, not 4."""
+    flat, first, size = rows
+    u *= size[at]
+    idx = np.trunc(u, out=u.view(np.int64), casting="unsafe")
+    idx += first[at]
+    return flat[idx]
+
+
 def _settle(T: np.ndarray, t: int, caught: np.ndarray, alive: np.ndarray,
             state: list) -> np.ndarray:
     """Give the caught running trials capture time t, compact the list of
@@ -285,7 +296,7 @@ def simulate_drunk_pursuit(
         def occupied_at(vertices, cfg):
             return occupied[cfg, vertices]
 
-    nbrs, deg = g._neighbor_table(closed=False)
+    rows = g._neighbor_table(closed=False)
     buf = np.empty(min(trials, _PIECE_TRIALS))
     stepped = None  # outlives each call, or malloc trims and refaults the heap every round
 
@@ -294,8 +305,7 @@ def simulate_drunk_pursuit(
         caught = np.empty(len(alive), dtype=bool)
         for a, b, u in _drawn(seed.stream("robber", t), alive, buf):
             ya = y[a:b].astype(np.intp)
-            u *= deg[ya]  # u is the piece's own gathered copy
-            stepped = nbrs[ya, u.astype(np.int64)]
+            stepped = _uniform_entries(rows, ya, u)  # u is the piece's own gathered copy
             if validate_moves:
                 _check_robber_steps(g, ya, stepped)
             y[a:b] = stepped
@@ -326,7 +336,9 @@ def simulate_random_cops(
     """
     if evader not in EVADER_HEURISTICS:
         raise SimulationError(f"evader must be one of {EVADER_HEURISTICS}")
-    check_trials(trials, k, 4 * g.n**2 if evader == "max-distance-greedy" else 0)
+    width = max(map(len, g.adjacency)) + 1  # of the greedy evader's padded candidate rows
+    check_trials(trials, k, ((4 * g.n**2, "distance table"), (8 * g.n * width, "candidate table"))
+                 if evader == "max-distance-greedy" else ())
     if k < 1:
         raise SimulationError("need at least one cop")
     seed = _as_seed(seed)
@@ -334,7 +346,7 @@ def simulate_random_cops(
         max_rounds = _round_cap(g, CENSOR_MULTIPLIER)
     n = g.n
 
-    nbrs, deg = g._neighbor_table(closed=True)
+    rows = g._neighbor_table(closed=True)
 
     place = seed.stream("placement", 0)
     if start is None:
@@ -351,6 +363,8 @@ def simulate_random_cops(
         y = seed.stream("evader", 0).integers(0, n, size=trials, dtype=np.int32)
     else:
         dmat = distance_table(g)
+        # closed rows of one width, for a first-hit argmax; a pad repeats its row's first entry
+        candidates = _padded_flat(rows[0], rows[2])
 
         def nearest_cop_dist(vertices: np.ndarray, cop_pos: np.ndarray) -> np.ndarray:
             return dmat[vertices[..., None], cop_pos].min(axis=-1)  # cop_pos (..., k)
@@ -366,9 +380,7 @@ def simulate_random_cops(
     def cop_step(t, alive, cops, y):
         caught = np.empty(len(alive), dtype=bool)
         for a, b, u in _drawn(seed.stream("cops", t), alive, cop_buf):
-            c = cops[a:b].astype(np.intp)
-            u *= deg[c]
-            moved = nbrs[c, u.astype(np.int64)]
+            moved = _uniform_entries(rows, cops[a:b].astype(np.intp), u)
             cops[a:b] = moved
             caught[a:b] = (moved == y[a:b, None]).any(axis=1)
         return caught
@@ -378,14 +390,12 @@ def simulate_random_cops(
 
         def move_robber(t, alive, cops, y):
             for a, b, u in _drawn(seed.stream("evader", t), alive, buf):
-                ya = y[a:b].astype(np.intp)
-                u *= deg[ya]
-                y[a:b] = nbrs[ya, u.astype(np.int64)]
+                y[a:b] = _uniform_entries(rows, y[a:b].astype(np.intp), u)
                 yield a, b
     else:
         def move_robber(t, alive, cops, y):
-            for a, b in _spans(len(alive), nbrs.shape[1]):
-                cand = nbrs[y[a:b]]  # (b - a, width)
+            for a, b in _spans(len(alive), width):
+                cand = candidates[y[a:b]]  # (b - a, width)
                 dist = nearest_cop_dist(cand, cops[a:b, None, :])
                 y[a:b] = cand[np.arange(b - a), dist.argmax(axis=1)]
                 yield a, b

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, _padded_flat
+from .graphs import Graph, _padded_flat, _ragged
 from .lumping import TwinColumns
 from .tables import FeedbackPolicy, RobberPolicy, ValueTable
 
@@ -264,21 +264,19 @@ class _StateSpace:
 
     @functools.cached_property
     def walk(self) -> np.ndarray:
-        """Cop-free robber walk matrix between the columns: rows uniform over
-        N(v), or with twin classes `TwinColumns.walk`. On one vertex the
-        robber has no step and it is the 1 x 1 zero; every state is occupied
-        there."""
-        if self.twins is not None:
-            return self.twins.walk()
-        table, deg = self.g._neighbor_table(closed=False)
+        """Cop-free robber walk matrix between the vertices, rows uniform
+        over N(v), of a space without twin classes (with them see
+        `TwinColumns.smear`). On one vertex the robber has no step and it is
+        the 1 x 1 zero; every state is occupied there."""
+        flat, _, deg = self.g._neighbor_table(closed=False)
         walk = np.zeros((self.n, self.n))
-        walk[np.arange(self.n)[:, None], table] = (1.0 / np.maximum(deg, 1))[:, None]
+        walk[np.repeat(np.arange(self.n), deg), flat] = np.repeat(1.0 / np.maximum(deg, 1), deg)
         return walk
 
     @functools.cached_property
     def smear_plan(self):
         """`TwinColumns.smear_plan` of the rows (twin classes only)."""
-        return self.twins.smear_plan(self.walk, np.array(self.configs), self.occupied)
+        return self.twins.smear_plan(np.array(self.configs), self.occupied)
 
     @functools.cached_property
     def occupied_at(self) -> np.ndarray:
@@ -527,13 +525,13 @@ def _retrograde(space: _StateSpace) -> tuple[np.ndarray, int]:
     occupied = space.occupied.ravel()
     C = np.full(m * n, np.inf)
     C[occupied] = 0.0
-    nbrs, size = space.robber._neighbor_table(closed=True)
+    flat, start, size = space.robber._neighbor_table(closed=True)
     # occupied robber states start decided at 0; decrements only take them
     # further below 0, so they never reach 0 again
     count = np.tile(size.astype(np.int32), m)
     count[occupied] = 0
     one = np.int32(1)  # a Python int sends np.subtract.at down its slow path
-    cols = np.arange(nbrs.shape[1])
+    width = int(size.max())
     succ, perms = space.succ_padded, space.cols
     elem, row = space.reads
     stab = space.stabilizers if len(space.group) > 1 else None
@@ -541,9 +539,10 @@ def _retrograde(space: _StateSpace) -> tuple[np.ndarray, int]:
     t = 0
     while True:
         robber = [frontier] if t == 0 else []  # occupied robber states: R = 0
-        for f in _slices(frontier, len(cols)):
-            x, y = np.divmod(f, n)
-            pred = (x[:, None] * n + nbrs[y])[cols < size[y][:, None]]  # no pads
+        for f in _slices(frontier, width):
+            y = f % n
+            moves = size[y]
+            pred = (f - y).repeat(moves) + flat[_ragged(start[y], moves)]
             np.subtract.at(count, pred, one)
             # a counter at 0 is never decremented again: free as scratch
             robber.append(_distinct(pred[count[pred] == 0], count))
@@ -589,11 +588,9 @@ def _distinct(idx: np.ndarray, scratch: np.ndarray) -> np.ndarray:
 def _robber_max(space: _StateSpace, C: np.ndarray, out: np.ndarray, target=None) -> np.ndarray:
     """out[x, y] = max of C[x] over N+(y), the robber's best reply, 0 on
     occupied states; `target` gets the first maximizing vertex (y there)."""
-    table, size = space.g._neighbor_table(closed=True)
-    # each row sliced to its own size: padding every row to the widest slows
-    # graphs with a few high-degree vertices
-    for y, count in enumerate(size.tolist()):
-        nbp = table[y, :count]
+    flat, start, size = space.g._neighbor_table(closed=True)
+    for y, (lo, hi) in enumerate(zip(start.tolist(), (start + size).tolist())):
+        nbp = flat[lo:hi]
         block = C[:, nbp]
         out[:, y] = block.max(axis=1)
         if target is not None:
@@ -711,10 +708,9 @@ def _drunk_jacobi(space: _StateSpace, opts: SolveOptions):
     stack = np.empty((len(row), columns))
     smear, ends = stack[:m], np.cumsum(np.bincount(elem)).tolist()  # e's slots end at ends[e]
     plan = _min_plan(space.succ_padded, space.succ_count, columns)
-    scratch = None if space.twins is None else np.empty(space.shape)
 
     def step(C, out):
-        _smeared(space, C, smear, scratch)
+        _smeared(space, C, smear, out)  # out is scratch until the min writes every row
         for e in range(1, len(cols)):
             # mode="clip": with the default "raise", take fills `out` through a buffer
             np.take(smear[row[ends[e - 1]: ends[e]]], cols[e], axis=1,

@@ -1,6 +1,6 @@
 """Shared test helpers: deterministic graph factories, sweep strategies, the
-padded successor min, the game-tree minimax oracle and the exact
-drunk-robber oracle."""
+padded successor min, the dense walk between twin classes, the game-tree
+minimax oracle and the exact drunk-robber oracle."""
 
 import itertools
 import math
@@ -52,6 +52,18 @@ def padded_min(succ, table, out):
     for j in range(1, succ.shape[1]):
         np.minimum(out, table[succ[:, j]], out=out)
     return out
+
+
+def dense_class_walk(twins):
+    """Reference robber walk between the classes of a `lumping.TwinColumns`:
+    walk[K, L] is the share of N(y) in class L for y the least member of
+    class K, which is equal over twins, counted one neighbour at a time."""
+    reps = twins.members[twins.first].tolist()
+    walk = np.zeros((len(reps), len(reps)))
+    for K, y in enumerate(reps):
+        for z in twins.g.neighbors(y):
+            walk[K, twins.label[z]] += 1.0
+    return walk / np.array([twins.g.degree(y) for y in reps])[:, None]
 
 
 def minimax_capture_value(g, x, y, horizon, memo):

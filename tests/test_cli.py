@@ -201,6 +201,16 @@ def test_greedy_distance_table_exits_3(capsys, monkeypatch):
     assert run_cli(capsys, *cops, "--evader", "uniform")[0] == 0
 
 
+def test_sparse_edge_list_header_exits_2(capsys, tmp_path):
+    # a billion vertices and one edge cannot be connected: rejected from the
+    # header, where building the graph would run out of memory
+    target = tmp_path / "huge.edges"
+    target.write_text("1000000000 1\n0 1\n")
+    code, out, err = run_cli(capsys, "ct", "--file", str(target))
+    assert code == 2 and out == "" and err.startswith("error:") and "not connected" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("message", ["", "cannot allocate 8 GiB"])
 def test_memory_error_exits_3(capsys, monkeypatch, message):
     def exhausted(args):

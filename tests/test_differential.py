@@ -4,6 +4,7 @@ cop-modified-chain reference, the policy evaluator against its own former
 loop, wavefront Gauss-Seidel against the row-by-row loop, the retrograde
 adversarial solve against the fixpoint sweep loop and its quotient against
 the full solve, the successor min over distinct lists against the padded one,
+the lumped smear's gather tables against the dense walk between twin classes,
 both drunk schemes and the symmetry quotient against exact values and
 against each other, and configuration ranking against enumeration."""
 
@@ -23,8 +24,8 @@ from copchase.chain import MASS_TOL
 from copchase.solver import SolveOptions, SweepStats, _drunk_start, _StateSpace
 from copchase.tables import _config_rank
 
-from conftest import (exact_drunk_values, lift_quotient, minimax_capture_value, padded_min,
-                      random_connected_graph)
+from conftest import (dense_class_walk, exact_drunk_values, lift_quotient, minimax_capture_value,
+                      padded_min, random_connected_graph)
 
 # derandomized: every run draws the same examples
 SETTINGS = settings(max_examples=60, derandomize=True, database=None, deadline=None)
@@ -517,6 +518,30 @@ def test_lumped_jacobi_matches_exact_values(instance):
     start, dct, _ = _drunk_start(g, k, opts)
     assert abs(dct - float(min(means))) <= 1e-14 * float(min(means))
     assert start == min(cfg for cfg, mean in zip(configs, means) if mean == min(means))
+
+
+@SETTINGS
+@given(twin_instances())
+def test_smear_plan_lists_the_dense_class_walk(instance):
+    # column K of the smear's class and weight tables lists the nonzeros of
+    # row K of the dense walk, bit for bit, and adds nothing below them;
+    # both graphs' neighbour rows are their sorted neighbourhoods
+    g, k = instance
+    q = lumped_space(g, k)
+    walk = dense_class_walk(q.twins)
+    (cols, weight), _ = q.smear_plan
+    assert cols.shape == weight.shape and cols.shape[1] == len(walk)
+    for K, row in enumerate(walk):
+        steps = np.flatnonzero(row)
+        assert np.array_equal(cols[:len(steps), K], steps)
+        assert np.array_equal(weight[:len(steps), K], row[steps])
+        assert not weight[len(steps):, K].any()
+    for h in (g, q.robber):
+        for closed, rows in ((False, h.neighbors), (True, h.closed_neighbors)):
+            flat, start, size = h._neighbor_table(closed)
+            assert flat.dtype == np.int64 and len(flat) == 2 * h.edge_count() + closed * h.n
+            for v in range(h.n):
+                assert flat[start[v]: start[v] + size[v]].tolist() == list(rows(v))
 
 
 def orbit_minima(g, k):

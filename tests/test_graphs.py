@@ -1,5 +1,6 @@
 import io
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -243,6 +244,22 @@ def test_edge_list_parser_rejections():
     ]:
         with pytest.raises(GraphError):
             cc.read_edge_list(io.StringIO(text))
+
+
+@pytest.mark.parametrize("n", [3, 3_000_000, 10**9])
+def test_edge_list_header_too_sparse_to_connect(n):
+    # n vertices need n - 1 edges to be connected; the header is rejected
+    # before a neighbour set is allocated per vertex (a 3,000,000-vertex
+    # header took 750 MB that way)
+    tracemalloc.start()
+    try:
+        with pytest.raises(GraphError, match=f"{n} vertices need at least {n - 1} edges"):
+            cc.read_edge_list(io.StringIO(f"{n} 1\n0 1\n"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert cc.read_edge_list(io.StringIO("3 2\n0 1\n1 2\n")).n == 3
 
 
 def automorphisms(g):

@@ -449,6 +449,22 @@ def test_greedy_distance_table_is_in_the_budget(monkeypatch):
     cc.simulate_random_cops(g, 2, "uniform-random", 50, seed=1)
 
 
+def test_greedy_candidate_table_is_in_the_budget(monkeypatch):
+    # the greedy evader pads its closed candidate rows to the widest, 8n(max
+    # degree + 1) bytes, and counts them beside the distance table before
+    # either is built: on K(1, 3999) 128 MB of candidates beside 64 MB
+    g = cc.Graph(4000, [(0, v) for v in range(1, 4000)])
+    tables = 4 * g.n**2 + 8 * g.n * g.n
+    monkeypatch.setattr(montecarlo, "MAX_TRIAL_BYTES", montecarlo.trial_bytes(1) + tables - 1)
+    monkeypatch.setattr(montecarlo, "distance_table", lambda g: pytest.fail("table built"))
+    monkeypatch.setattr(montecarlo, "_padded_flat", lambda *a: pytest.fail("rows padded"))
+    with pytest.raises(cc.TrialBudgetError, match="128000000-byte candidate table"):
+        cc.simulate_random_cops(g, 1, "max-distance-greedy", 1, seed=1)
+    monkeypatch.setattr(montecarlo, "MAX_TRIAL_BYTES", montecarlo.trial_bytes(1) + tables)
+    with pytest.raises(pytest.fail.Exception, match="table built"):
+        cc.simulate_random_cops(g, 1, "max-distance-greedy", 1, seed=1)
+
+
 def test_all_censored_report_is_valid_json():
     # two 5-cycles joined by a path: one random cop never catches the greedy
     # robber within 50 rounds, so there is no mean

@@ -150,6 +150,42 @@ def test_quotient_drunk_memory_in_bytes():
     assert peak <= 7 * space.m * space.shape[1] * 8
 
 
+def test_lumped_drunk_memory_in_bytes():
+    # a lumped Jacobi solve holds C, its update, the stack and the space's
+    # `free` counts; the smear reads its class steps off the neighbour rows
+    # and takes the update as scratch. A dense class walk and a scratch
+    # table of its own peaked at 7.9 tables on L(150, 0.6)
+    g = cc.lollipop(150, 0.6)
+    g._neighbor_table(closed=True)
+    space = _StateSpace(g, 1, math.inf, symmetric=True)
+    assert space.twins is not None
+    tracemalloc.start()
+    try:
+        _drunk_start(g, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * space.m * space.shape[1] * 8
+
+
+@pytest.mark.parametrize("start", [solver._adversarial_start, _drunk_start],
+                         ids=["adversarial", "drunk"])
+def test_star_solves_in_bytes(start):
+    # K(1, 3999) lumps to two classes; its neighbour rows hold n + 2m and
+    # 2m entries, where rows padded to the centre's 4000 peaked near 400 MB
+    g = cc.Graph(4000, [(0, v) for v in range(1, 4000)])
+    tracemalloc.start()
+    try:
+        config, value = start(g, 1)[:2]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    # from the centre the cop catches the robber in one round, or at once if
+    # it was placed there
+    assert config == (0,) and value == pytest.approx(3999 / 4000 if start is _drunk_start else 1)
+
+
 def read_pairs(q):
     """The distinct (column permutation, row) pairs through a non-identity
     group element that the successors of q's rows read, found by listing
