@@ -56,9 +56,15 @@ def _add_graph_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--depth", type=int)
 
 
+def _nonnegative_int(raw: str) -> int:
+    if not raw.isdecimal():  # no sign, so no negative value
+        raise argparse.ArgumentTypeError(f"invalid non-negative int value: {raw!r}")
+    return int(raw)
+
+
 def _add_output_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true", help="emit a JSON object")
-    p.add_argument("--exact-digits", type=int, default=6,
+    p.add_argument("--exact-digits", type=_nonnegative_int, default=6,
                    help="significant digits for numeric output (default 6)")
 
 
@@ -333,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_args(p)
     p.add_argument("--strategy", required=True, help="strategy file, one configuration per line")
     p.add_argument("--mode", choices=["drunk", "adversarial"], default="drunk")
-    p.add_argument("--max-rounds", type=int, default=None)
+    p.add_argument("--max-rounds", type=_nonnegative_int, default=None)
     p.add_argument("--csv", action="store_true", help="emit the capture distribution as CSV")
     p.set_defaults(func=_cmd_eval_strategy)
 
@@ -358,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", help="fixed strategy file (drunk mode)")
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-rounds", type=int, default=None)
+    p.add_argument("--max-rounds", type=_nonnegative_int, default=None)
     p.set_defaults(func=_cmd_simulate)
     return parser
 

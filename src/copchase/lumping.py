@@ -16,8 +16,6 @@ column cannot record.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .graphs import Graph, _ragged, twin_classes, twin_quotient
@@ -34,6 +32,7 @@ class TwinColumns:
         self.members = np.argsort(label, kind="stable")  # by class, then vertex
         self.size = np.bincount(label)
         self.first = np.cumsum(self.size) - self.size  # each class's start in members
+        self.place = np.argsort(self.members, kind="stable") - self.first[label]  # in its class
         self.closed = np.zeros(len(self.size), dtype=bool)  # classes with inner edges
         for cls in np.flatnonzero(self.size > 1).tolist():
             u, v = self.members[self.first[cls]:][:2].tolist()
@@ -70,13 +69,6 @@ class TwinColumns:
         seen = np.cumsum(fresh, axis=-1)
         within = seen - np.maximum.accumulate(np.where(head, seen, 0), axis=-1)
         return np.sort(self.members[self.first[cls] + within], axis=-1, kind="stable")
-
-    def least_configs(self, k: int) -> list:
-        """The k-cop configurations that twin swaps do not lower, ascending."""
-        cfgs = np.fromiter(itertools.chain.from_iterable(
-            itertools.combinations_with_replacement(range(len(self.label)), k)), dtype=np.int64)
-        cfgs = cfgs.reshape(-1, k)
-        return list(map(tuple, cfgs[(self.canonical(cfgs) == cfgs).all(axis=1)].tolist()))
 
     def occupancy(self, cfgs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per sorted configuration row of cfgs and class: whether the row

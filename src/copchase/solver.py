@@ -76,7 +76,8 @@ class _StateSpace:
     column per twin class. A row stands for its orbit's first
     (lexicographically smallest) member, rows ascending: within each class
     the cops sit on its first members, the most stacked first, and the
-    declared group then picks the least such configuration.
+    declared group then picks the least such configuration. A cop at v steps
+    only onto `steps[v]`, its closed neighbours among the first k of each class.
 
     The cap counts what a solve path holds: retrograde, rows x columns
     (checked as rows are found); quotient Jacobi, (3m + P) x columns / 3 for
@@ -113,12 +114,14 @@ class _StateSpace:
             what, more = ("vertices", per and "+") if self.twins is None else ("columns", "+")
             raise StateSpaceError(f"{m} configurations x {c} robber {what}{per} = "
                                   f"{m * c // order}{more} states exceeds cap {state_cap}")
-        # the search marks a byte per configuration; with twins it lists one
-        # row's cop steps at once, and under the trivial group every
-        # configuration first (`least_configs`), peaking near 10 int64 per cop
+        kept = [True] * n if self.twins is None else (self.twins.place < k).tolist()
+        self.steps = [[w for w in g.closed_neighbors(v) if kept[w]] for v in range(n)]
+        # the search marks a byte per configuration; with twins it lists one row's
+        # kept cop steps at once, and under the trivial group every kept
+        # configuration first, peaking near 10 int64 per cop
         search = math.comb(n + k - 1, k)
         listed = 0 if self.twins is None else max(
-            (max(map(len, g.adjacency)) + 1) ** k, search if order == 1 else 0)
+            max(map(len, self.steps)) ** k, math.comb(sum(kept) + k - 1, k) if order == 1 else 0)
         if max(search, 12 * 8 * k * listed) > 8 * state_cap:
             raise StateSpaceError(f"configuration search over {search} configurations, {listed} "
                                   f"listed at once, exceeds a table at cap {state_cap}")
@@ -129,16 +132,15 @@ class _StateSpace:
         self.col_group = self.group if self.twins is None else self.twins.columns(self.group)
         if order > 1:
             self.configs = self._successors[0]
-        elif self.twins is None:
-            self.configs = list(itertools.combinations_with_replacement(range(n), k))
-        else:
-            self.configs = self.twins.least_configs(k)
+        else:  # the kept configurations that twin swaps do not lower
+            cfgs = np.array(list(itertools.combinations_with_replacement(
+                itertools.compress(range(n), kept), k)), dtype=np.int64)
+            cfgs = cfgs[(self._twin_canonical(cfgs) == cfgs).all(axis=1)]
+            self.configs = list(map(tuple, cfgs.tolist()))
         self.m = len(self.configs)
         self.shape = (self.m, self.robber.n)
-        if self.twins is None:
-            self.occupied = _occupancy(self.configs, n)
-        else:  # and the count of free members per column
-            self.occupied, self.free = self.twins.occupancy(np.array(self.configs))
+        self.occupied = (_occupancy(self.configs, n) if self.twins is None
+                         else self.twins.occupancy(np.array(self.configs))[0])
 
     def _twin_canonical(self, cfgs: np.ndarray) -> np.ndarray:
         """cfgs, sorted k-tuples along the last axis, each replaced by the
@@ -148,27 +150,25 @@ class _StateSpace:
     @functools.cached_property
     def _successors(self) -> tuple[list, np.ndarray, np.ndarray, np.ndarray, tuple]:
         """The orbit representatives, `succ_padded`, `succ_count`, `cols`
-        and `reads`. Pieces of rows are expanded one at a time: every cop step
-        from each row is listed, ranked and canonicalized in numpy, and the
-        orbits not seen before become new pieces. Under the trivial group
-        every row is known from the start; otherwise the search
-        starts from the all-at-0 orbit (rank 0, the least of all), so only
-        representatives are expanded. Steps to twins of one another become
-        one successor: they lie in one orbit, reached by one element."""
+        and `reads`. Pieces of rows are expanded one at a time: each cop's
+        steps onto its kept closed neighbours are listed, put in twin-least
+        form, ranked and canonicalized in numpy, and the orbits not seen
+        before become new pieces. Under the trivial group every row is known
+        from the start; otherwise the search starts from the all-at-0 orbit
+        (rank 0, the least of all), so only representatives are expanded.
+        Steps to twins of one another become one successor: they lie in one
+        orbit, reached by one element. A row's cops sit on kept vertices and
+        twins have equal neighbourhoods, so every step's twin-least form is a
+        kept step's."""
         n, k, group = self.n, self.k, self.group
         columns = self.robber.n
         table = _rank_table(n, k)
-        closed = [self.g.closed_neighbors(v) for v in range(n)]
-        size = np.array([len(row) for row in closed])
+        size = np.array(list(map(len, self.steps)))
         width = int(size.max()) ** k  # the most cop steps from one configuration
+        reps = np.array(self.configs if len(group) == 1 else [(0,) * k], dtype=np.int64)
+        frontier = _ranks(reps, table)
         seen = np.zeros(math.comb(n + k - 1, k), dtype=bool)  # by rank
-        if len(group) == 1:
-            seen[:] = True
-            reps = np.array(self.configs, dtype=np.int64).reshape(-1, k)
-            frontier = np.arange(len(seen)) if self.twins is None else _ranks(reps, table)
-        else:
-            seen[0] = True
-            frontier, reps = np.zeros(1, dtype=np.int64), np.zeros((1, k), dtype=np.int64)
+        seen[frontier] = True  # under the trivial group every row, and so every successor
         orbits = len(frontier)
         pending = list(zip(_slices(frontier, width), _slices(reps, width)))
         found, rows, ranks, elems = [], [], [], []
@@ -176,7 +176,7 @@ class _StateSpace:
             frontier, reps = pending.pop()
             found.append((frontier, reps))
             moves = itertools.chain.from_iterable(
-                itertools.product(*(closed[v] for v in cfg)) for cfg in reps.tolist())
+                itertools.product(*(self.steps[v] for v in cfg)) for cfg in reps.tolist())
             cfgs = np.fromiter(itertools.chain.from_iterable(moves), dtype=np.int64).reshape(-1, k)
             # stable sorts only: numpy's default quicksort is separate code
             # that a process would otherwise page in (about 0.3 MB of RSS)
@@ -826,7 +826,8 @@ def _drunk_start(
     if opts is None:
         opts = SolveOptions()
     space, C, stats = _drunk_table(g, k, opts, state_cap, symmetric=True)
-    means = C.mean(axis=1) if space.twins is None else (C * space.free).sum(axis=1) / g.n
+    weighed = C if space.twins is None else C * space.twins.occupancy(np.array(space.configs))[1]
+    means = weighed.sum(axis=1) / g.n
     return space.configs[_near_min(means)], float(means.min()), stats
 
 

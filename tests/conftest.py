@@ -1,6 +1,7 @@
 """Shared test helpers: deterministic graph factories, sweep strategies, the
-padded successor min, the dense walk between twin classes, the game-tree
-minimax oracle and the exact drunk-robber oracle."""
+padded successor min, the dense walk between twin classes, the successors
+listed over full closed neighbourhoods, the game-tree minimax oracle and the
+exact drunk-robber oracle."""
 
 import itertools
 import math
@@ -64,6 +65,27 @@ def dense_class_walk(twins):
         for z in twins.g.neighbors(y):
             walk[K, twins.label[z]] += 1.0
     return walk / np.array([twins.g.degree(y) for y in reps])[:, None]
+
+
+def listed_successors(space):
+    """Reference successors of a `solver._StateSpace`: every joint cop step
+    over each row's full closed neighbourhoods, put in twin-least form and
+    canonicalized by `solver._canonical`. Per row, one (successor row,
+    column permutation) pair per distinct twin-least successor, in ascending
+    order of that successor."""
+    table = solver._rank_table(space.n, space.k)
+    ranks = solver._ranks(np.array(space.configs), table)
+    pairs = []
+    for cfg in space.configs:
+        steps = np.array(np.meshgrid(*map(space.g.closed_neighbors, cfg), indexing="ij"))
+        steps = steps.reshape(space.k, -1).T
+        steps = space._twin_canonical(np.sort(steps, axis=1))
+        own = steps[np.unique(solver._ranks(steps, table), return_index=True)[1]]
+        rank, elem = solver._canonical(own, space.group, table, space._twin_canonical)
+        rows = np.searchsorted(ranks, rank)
+        assert np.array_equal(ranks[rows], rank)  # every successor orbit is a row
+        pairs.append(list(zip(rows.tolist(), map(tuple, space.col_group[elem].tolist()))))
+    return pairs
 
 
 def minimax_capture_value(g, x, y, horizon, memo):

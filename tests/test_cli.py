@@ -357,12 +357,16 @@ def test_infeasible_exit_code(capsys):
     assert code == 3
 
 
-def test_lumped_search_exits_3_at_the_default_cap(capsys):
+def test_lumped_search_answers_at_the_default_cap(capsys):
     # L(10, 60): 609 vertices in 11 twin classes, so its 3-cop lumped space
-    # is small, but it has C(611, 3) configurations to list and canonicalize
-    code, out, err = run_cli(capsys, "ct", "--family", "lollipop", "--n", "10", "--c", "60",
-                             "--k", "3")
-    assert code == 3 and out == "" and "217081801 listed at once" in err
+    # has 298 rows; cops step only onto the first 3 members of each class,
+    # so neither the C(611, 3) configurations nor the 601^3 steps from the
+    # clique's end are listed
+    argv = ["ct", "--family", "lollipop", "--n", "10", "--c", "60", "--k", "3", "--json"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(out)["value"] == 2
+    code, out, err = run_cli(capsys, *argv, "--state-cap", "100")
+    assert code == 3 and out == "" and err.startswith("error:") and "Traceback" not in err
 
 
 def test_state_cap_env(capsys, monkeypatch):
@@ -402,6 +406,15 @@ def test_exact_digits(capsys):
                            "--exact-digits", "12")
     assert code == 0
     assert "0.666666666667" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["dct", "--family", "path", "--n", "3", "--exact-digits", "-1"],
+    ["simulate", "--family", "path", "--n", "5", "--mode", "random-cops", "--max-rounds", "-1"]],
+    ids=["exact-digits", "max-rounds"])
+def test_negative_counts_are_refused_at_parse_time(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and f"error: argument {argv[-2]}" in err
 
 
 def test_nonconvergence_exit(capsys):

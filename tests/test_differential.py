@@ -5,6 +5,7 @@ loop, wavefront Gauss-Seidel against the row-by-row loop, the retrograde
 adversarial solve against the fixpoint sweep loop and its quotient against
 the full solve, the successor min over distinct lists against the padded one,
 the lumped smear's gather tables against the dense walk between twin classes,
+the successors of kept cop steps against those of every cop step,
 both drunk schemes and the symmetry quotient against exact values and
 against each other, and configuration ranking against enumeration."""
 
@@ -24,8 +25,8 @@ from copchase.chain import MASS_TOL
 from copchase.solver import SolveOptions, SweepStats, _drunk_start, _StateSpace
 from copchase.tables import _config_rank
 
-from conftest import (dense_class_walk, exact_drunk_values, lift_quotient, minimax_capture_value,
-                      padded_min, random_connected_graph)
+from conftest import (dense_class_walk, exact_drunk_values, lift_quotient, listed_successors,
+                      minimax_capture_value, padded_min, random_connected_graph)
 
 # derandomized: every run draws the same examples
 SETTINGS = settings(max_examples=60, derandomize=True, database=None, deadline=None)
@@ -575,11 +576,41 @@ def orbit_minima(g, k):
     return sorted(least)
 
 
-@pytest.mark.parametrize("g", TWIN_FAMILIES + [cc.relabel(g, np.random.default_rng(i).permutation(
-    g.n).tolist()) for i, g in enumerate(TWIN_FAMILIES)], ids=lambda g: repr(g))
+RELABELED_TWIN_FAMILIES = TWIN_FAMILIES + [
+    cc.relabel(g, np.random.default_rng(i).permutation(g.n).tolist())
+    for i, g in enumerate(TWIN_FAMILIES)]
+
+
+@pytest.mark.parametrize("g", RELABELED_TWIN_FAMILIES, ids=lambda g: repr(g))
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_lumped_rows_are_the_least_members_of_their_orbits(g, k):
     assert lumped_space(g, k).configs == orbit_minima(g, k)
+
+
+def assert_kept_steps_reach_every_successor(g, k):
+    # cops step only onto the first k members of each twin class; the slots
+    # must still read every successor orbit of every cop step, through the
+    # same element, in the same order
+    q = lumped_space(g, k)
+    elem, row = q.reads
+    pairs = list(zip(row.tolist(), map(tuple, q.cols[elem].tolist())))
+    slots = [[pairs[s] for s in succ[:count]]
+             for succ, count in zip(q.succ_padded.tolist(), q.succ_count.tolist())]
+    assert slots == listed_successors(q)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@SETTINGS
+@given(twin_instances())
+def test_kept_steps_reach_every_successor(k, instance):
+    assert_kept_steps_reach_every_successor(instance[0], k)
+
+
+@pytest.mark.parametrize("g,k", [(g, k) for g in RELABELED_TWIN_FAMILIES for k in (1, 2, 3)]
+                         + [(cc.lollipop(10, 6.0), 3), (cc.barbell(8, 1.0), 3)],
+                         ids=lambda v: repr(v))
+def test_kept_steps_reach_every_successor_named(g, k):
+    assert_kept_steps_reach_every_successor(g, k)
 
 
 LUMPED_NAMED = {

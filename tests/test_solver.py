@@ -151,10 +151,11 @@ def test_quotient_drunk_memory_in_bytes():
 
 
 def test_lumped_drunk_memory_in_bytes():
-    # a lumped Jacobi solve holds C, its update, the stack and the space's
-    # `free` counts; the smear reads its class steps off the neighbour rows
-    # and takes the update as scratch. A dense class walk and a scratch
-    # table of its own peaked at 7.9 tables on L(150, 0.6)
+    # a lumped Jacobi solve holds C, its update and the stack; the means
+    # count free members only after the sweeps, and the smear reads its
+    # class steps off the neighbour rows and takes the update as scratch.
+    # A dense class walk and a scratch table of its own peaked at 7.9
+    # tables on L(150, 0.6)
     g = cc.lollipop(150, 0.6)
     g._neighbor_table(closed=True)
     space = _StateSpace(g, 1, math.inf, symmetric=True)
@@ -344,15 +345,17 @@ def test_lumped_cap_counts_twin_classes():
 
 
 @pytest.mark.parametrize("g,listed", [
-    (cc.Graph(30, [(0, v) for v in range(1, 30)]), 30**3),  # steps from the centre
+    (cc.Graph(30, [(0, v) for v in range(1, 30)]), 4**3),  # kept steps from the centre
     (cc.complete_tree(2, 3), math.comb(17, 3))],  # every configuration
     ids=["star", "tree"])
 def test_search_is_capped_in_bytes(g, listed):
-    # with twins the orbit search lists and canonicalizes one row's cop steps
-    # at once, and under the trivial group every configuration first, counted
-    # as 12 int64 per cop each against the 8 bytes per state of a table at
-    # the cap: 3 cops on K(1, 29) have 7 x 2 lumped states but 30^3 steps
-    # from the centre; on T(2, 3), C(17, 3) configurations and 4^3 steps.
+    # with twins the orbit search lists and canonicalizes one row's kept cop
+    # steps at once, and under the trivial group every kept configuration
+    # first, counted as 12 int64 per cop each against the 8 bytes per state
+    # of a table at the cap. A cop steps only onto the first 3 members of a
+    # twin class: 3 cops on K(1, 29) have 7 x 2 lumped states and 4^3 steps
+    # from the centre, onto itself and 3 leaves; T(2, 3)'s classes are leaf
+    # pairs, all kept, so C(17, 3) configurations and 4^3 steps.
     # The search also lists a slice of steps from several rows at once.
     fits = 12 * 3 * listed
     with pytest.raises(cc.StateSpaceError, match=f"{listed} listed at once"):
