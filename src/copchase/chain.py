@@ -10,7 +10,7 @@ from typing import Iterable, TextIO
 
 import numpy as np
 
-from .graphs import Graph, _bfs_distances, validate
+from .graphs import Graph, _bfs_distances
 
 MASS_TOL = 1e-12
 MAX_ROUND_CAP = 10**6
@@ -208,12 +208,14 @@ def default_round_cap(g: Graph) -> int:
 
 def _round_cap(g: Graph, multiplier: int) -> int:
     """multiplier * D * max_degree**D, capped at MAX_ROUND_CAP, in exact integers.
-    The formula grows with D, so when the eccentricity of vertex 0 (at most D)
-    already saturates the cap, one BFS decides it without the diameter."""
+    The formula grows with D, so the eccentricities (each at most D) are
+    taken one BFS at a time only until one saturates the cap."""
     max_degree = max(map(len, g.adjacency))
-    d = max(_bfs_distances(g, 0))
-    if multiplier * d * max_degree**d < MAX_ROUND_CAP:
-        d = validate(g).diameter
+    d = 0
+    for v in range(g.n):
+        d = max(d, max(_bfs_distances(g, v)))
+        if multiplier * d * max_degree**d >= MAX_ROUND_CAP:
+            break
     return min(multiplier * d * max_degree**d, MAX_ROUND_CAP) if d else 1
 
 
@@ -306,35 +308,33 @@ def adversarial_survival_time(g: Graph, strategy: FixedStrategy) -> float:
     """Worst-case survival of an omniscient invisible robber against a
     deterministic fixed strategy.
 
-    Dynamic program over the set of positions the robber can still occupy;
+    Dynamic program over the mask of positions the robber can still occupy;
     the robber moves along edges or stays. Returns the first round at which
-    the set empties, or math.inf when the trace cycles without emptying.
+    the mask empties, or math.inf when the trace cycles without emptying.
     """
     validate_strategy(g, strategy)
-    alive = frozenset(range(g.n)) - set(strategy.configs[0])
-    if not alive:
+    flat, _, size = g._neighbor_table(closed=True)
+    alive = np.ones(g.n, dtype=bool)
+    alive[list(strategy.configs[0])] = False
+    if not alive.any():
         return 0
     last = len(strategy.configs) - 1
-    seen: set[frozenset[int]] = set()
+    seen: set[bytes] = set()
     t = 0
     while True:
         t += 1
-        cops = set(strategy.config_at(t))
-        survivors = alive - cops
-        nxt = set()
-        for y in survivors:
-            nxt.add(y)
-            nxt.update(g.adjacency[y])
-        nxt -= cops
-        if not nxt:
+        cops = list(strategy.config_at(t))
+        alive[cops] = False
+        alive = np.bincount(flat, np.repeat(alive, size), g.n) > 0
+        alive[cops] = False
+        if not alive.any():
             return t
-        alive = frozenset(nxt)
         if t >= last:
             # strategy exhausted: dynamics are autonomous, so a repeated
-            # set means the robber survives forever
-            if alive in seen:
+            # mask means the robber survives forever
+            if alive.tobytes() in seen:
                 return math.inf
-            seen.add(alive)
+            seen.add(alive.tobytes())
 
 
 # ---------------------------------------------------------------------------

@@ -332,7 +332,7 @@ def grid(n: int) -> Graph:
 def _clique_size(n: int, c: float) -> int:
     if not 0 <= c < math.inf:  # also rejects nan
         raise GraphError(f"clique ratio c must be finite and nonnegative, got {c}")
-    m = math.floor(c * n)
+    m = math.floor(min(c * n, MAX_GENERATED_VERTICES + 1))  # inf too: refused by _check_size
     if c > 0 and m < 1:
         raise GraphError(f"clique ratio c={c} yields an empty clique at n={n}")
     return m

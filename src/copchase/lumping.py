@@ -6,29 +6,32 @@ solver's quotient by the twin swaps (see `solver._StateSpace`) the free
 members of a class, those no cop occupies, share their value, because a
 swap that fixes the row exchanges them; occupied members are worth 0. So a
 table keeps one robber column per class, holding its free members' value,
-and a row is the least configuration of its orbit. `TwinColumns` holds what
-such a table needs: the least configuration twin swaps reach, the members
-each row occupies, the robber's steps between classes (read off one member's
-neighbour row per class) and the correction for the occupied members they
-count, and the states where a cop steps onto the robber, which a class
-column cannot record.
+and a row is the least configuration of its orbit. Every space has this
+layout, with one-vertex classes (the identity lumping) where none lumps.
+`TwinColumns` holds what it needs: the least configuration twin swaps
+reach, the members each row leaves free, the robber's steps between classes
+(read off one member's neighbour row per class) and the correction for the
+occupied members they count, and the states where a cop steps onto the
+robber, which a class column cannot record.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .graphs import Graph, _ragged, twin_classes, twin_quotient
+from .graphs import Graph, _ragged, twin_quotient
 
 
 class TwinColumns:
-    """The twin classes of g, given as a `graphs.twin_classes` label with at
-    least one class of two or more vertices, and the robber's graph on them
-    (`robber`, the twin quotient)."""
+    """The classes of g, a `graphs.twin_classes` label or np.arange(n), and
+    the robber's graph on them (`robber`, the twin quotient). `lumps` is
+    False when every class is one vertex: then `robber` is g, and `columns`
+    and `canonical` return their input."""
 
     def __init__(self, g: Graph, label: np.ndarray):
         self.g, self.label = g, label
-        self.robber = twin_quotient(g, label)
+        self.lumps = int(label.max()) < g.n - 1
+        self.robber = twin_quotient(g, label) if self.lumps else g
         self.members = np.argsort(label, kind="stable")  # by class, then vertex
         self.size = np.bincount(label)
         self.first = np.cumsum(self.size) - self.size  # each class's start in members
@@ -38,21 +41,17 @@ class TwinColumns:
             u, v = self.members[self.first[cls]:][:2].tolist()
             self.closed[cls] = v in g.adjacency[u]
 
-    @classmethod
-    def of(cls, g: Graph) -> TwinColumns | None:
-        """The twin classes of g, or None if g has no twins."""
-        label = twin_classes(g)
-        return None if label.max() == g.n - 1 else cls(g, label)
-
     def columns(self, group: np.ndarray) -> np.ndarray:
         """How each row of `group`, vertex permutations, permutes the classes."""
-        return self.label[group[:, self.members[self.first]]]
+        return self.label[group[:, self.members[self.first]]] if self.lumps else group
 
     def canonical(self, cfgs: np.ndarray) -> np.ndarray:
         """Each sorted k-tuple along the last axis of cfgs with the cops of
         every class moved onto the class's first members, the most stacked
         vertex on the first: the least tuple that twin swaps reach, since
         moving cops onto a lower vertex lowers a sorted tuple."""
+        if not self.lumps:
+            return cfgs
         label, k = self.label, cfgs.shape[-1]
         if k == 1:
             return self.members[self.first[label[cfgs]]]
@@ -70,15 +69,16 @@ class TwinColumns:
         within = seen - np.maximum.accumulate(np.where(head, seen, 0), axis=-1)
         return np.sort(self.members[self.first[cls] + within], axis=-1, kind="stable")
 
-    def occupancy(self, cfgs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per sorted configuration row of cfgs and class: whether the row
-        occupies every member, and how many members it leaves free."""
+    def free(self, cfgs: np.ndarray) -> np.ndarray:
+        """Per sorted configuration row of cfgs and class, how many members
+        the row leaves free, as one float table; 0 where it occupies all."""
         distinct = np.ones(cfgs.shape, dtype=bool)
         distinct[:, 1:] = cfgs[:, 1:] != cfgs[:, :-1]
-        taken = np.zeros((len(cfgs), len(self.size)), dtype=np.int64)
-        rows = np.broadcast_to(np.arange(len(cfgs))[:, None], cfgs.shape)
-        np.add.at(taken, (rows[distinct], self.label[cfgs[distinct]]), 1)
-        return taken == self.size, (self.size - taken).astype(float)
+        rows, columns = len(cfgs), len(self.size)
+        taken = (np.arange(rows)[:, None] * columns + self.label[cfgs])[distinct]
+        free = np.bincount(taken, np.full(len(taken), -1.0), rows * columns).reshape(rows, columns)
+        free += self.size
+        return free
 
     def smear_plan(self, cfgs: np.ndarray, occupied: np.ndarray):
         """What `smear` reads: the robber's steps between classes as (width x

@@ -421,17 +421,22 @@ _WALK_SLICE_STEPS = 1 << 18
 
 def walk_deviation_check(n: int, c: float, trials: int, seed: int) -> float:
     """Fraction of n-step +/-1 walks leaving [-c*sqrt(n ln n), c*sqrt(n ln n)]
-    at any time."""
+    at any time. TrialBudgetError if one slice of walks would exceed
+    MAX_TRIAL_BYTES."""
     if n < 1 or trials < 1:
         raise ValueError("n and trials must be >= 1")
     if not c > 2:
         raise ValueError(f"the deviation bound needs c > 2, got {c}")
     seed = _as_seed(seed)
     # |position| is an integer, so it exceeds the threshold iff it exceeds
-    # the threshold's floor
-    limit = math.floor(c * math.sqrt(n * math.log(n)))
+    # the threshold's floor, and never exceeds n: a bound past n acts as n
+    limit = math.floor(min(n, c * math.sqrt(n * math.log(n))))  # inf and nan too
     chunk = max(1, min(trials, _WALK_CHUNK_STEPS // n))
     rows = max(4, _WALK_SLICE_STEPS // n // 4 * 4)
+    need = min(rows, chunk) * n * 5  # a slice's int32 positions and its int8 draw
+    if need > MAX_TRIAL_BYTES:
+        raise TrialBudgetError(f"{min(rows, chunk)} walks of {n} steps need {need} bytes, "
+                               f"over the budget of {MAX_TRIAL_BYTES}")
     positions = np.empty((min(rows, chunk), n), dtype=np.int32)  # every slice's buffer
     exceeded = 0
     done = 0

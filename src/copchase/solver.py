@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, _padded_flat, _ragged
+from .graphs import Graph, _padded_flat, _ragged, twin_classes
 from .lumping import TwinColumns
 from .tables import FeedbackPolicy, RobberPolicy, ValueTable
 
@@ -66,14 +66,14 @@ class SolveOptions:
 class _StateSpace:
     """Cop configurations with successor and occupancy tables: one row per
     orbit of the configurations under a group of vertex permutations, and
-    one column per robber vertex or per twin class.
+    one column per class of vertices (`twins`, a `lumping.TwinColumns`).
 
-    By default the group is trivial, rows are all configurations in
-    combinations_with_replacement order (see `_config_rank`) and columns are
-    the n vertices. With `symmetric=True` the group holds the graph's
-    declared group `g.symmetries` and every swap of twins (see
-    `graphs.twin_classes`), a group too large to list, and there is one
-    column per twin class. A row stands for its orbit's first
+    By default the group is trivial, every class is one vertex, rows are all
+    configurations in combinations_with_replacement order (see
+    `_config_rank`) and columns are the n vertices. With `symmetric=True`
+    the group holds the graph's declared group `g.symmetries` and every swap
+    of twins, a group too large to list, and the classes are the twin
+    classes (see `graphs.twin_classes`). A row stands for its orbit's first
     (lexicographically smallest) member, rows ascending: within each class
     the cops sit on its first members, the most stacked first, and the
     declared group then picks the least such configuration. A cop at v steps
@@ -82,9 +82,10 @@ class _StateSpace:
     The cap counts what a solve path holds: retrograde, rows x columns
     (checked as rows are found); quotient Jacobi, (3m + P) x columns / 3 for
     two tables and m + P stack rows (see `_drunk_jacobi`); the full space,
-    m x n, as its three tables count. Up front it bounds C(c+k-1, k) x c /
-    (declared group order) for c columns, and by a table at the cap the
-    bytes the search marks and lists (see `_successors`).
+    m x n, as its three tables count; and every path, the m x (widest row)
+    slots of `succ_padded`, checked before they are padded. Up front it
+    bounds C(c+k-1, k) x c / (declared group order) for c columns, and by a
+    table at the cap the bytes the search marks and lists (see `_successors`).
 
     Values are invariant under the group: if s maps a successor x' of a row
     onto the row r, the value at (x', y) is the value at (r, s(y)). So a
@@ -95,9 +96,10 @@ class _StateSpace:
 
     A class column holds the value of the class's free members, which twin
     swaps that fix the row make equal, and an occupied member's value is 0;
-    `occupied` marks the columns with no free member, which hold 0. On a
-    graph without twins every class is one vertex: `twins` is None and the
-    columns are the vertices.
+    `occupied` marks the columns with no free member, which hold 0. Every
+    space has this one layout: on the full space, and on a graph without
+    twins, every class is one vertex, the columns are the vertices and the
+    lumping is the identity.
     """
 
     def __init__(self, g: Graph, k: int, state_cap: float, symmetric: bool = False):
@@ -105,23 +107,21 @@ class _StateSpace:
             raise ValueError(f"cop count must be >= 1, got {k}")
         n = g.n
         self.group = g.symmetries if symmetric else np.arange(n)[None]
-        self.twins = TwinColumns.of(g) if symmetric else None
-        self.robber = g if self.twins is None else self.twins.robber
-        c, order = self.robber.n, len(self.group)
+        self.twins = TwinColumns(g, twin_classes(g) if symmetric else np.arange(n))
+        c, order = self.twins.robber.n, len(self.group)
         m = math.comb(c + k - 1, k)  # distinct twin orbits, and at least m / |G| orbits
         if m * c > state_cap * order:
             per = "" if order == 1 else f" / {order} symmetries"
-            what, more = ("vertices", per and "+") if self.twins is None else ("columns", "+")
-            raise StateSpaceError(f"{m} configurations x {c} robber {what}{per} = "
-                                  f"{m * c // order}{more} states exceeds cap {state_cap}")
-        kept = [True] * n if self.twins is None else (self.twins.place < k).tolist()
+            raise StateSpaceError(f"{m} configurations x {c} robber columns{per} = "
+                                  f"{m * c // order}+ states exceeds cap {state_cap}")
+        kept = (self.twins.place < k).tolist()
         self.steps = [[w for w in g.closed_neighbors(v) if kept[w]] for v in range(n)]
-        # the search marks a byte per configuration; with twins it lists one row's
-        # kept cop steps at once, and under the trivial group every kept
-        # configuration first, peaking near 10 int64 per cop
+        # the search marks a byte per configuration, lists one row's kept cop
+        # steps at once, and under the trivial group every kept configuration
+        # first, peaking near 10 int64 per cop
         search = math.comb(n + k - 1, k)
-        listed = 0 if self.twins is None else max(
-            max(map(len, self.steps)) ** k, math.comb(sum(kept) + k - 1, k) if order == 1 else 0)
+        listed = max(max(map(len, self.steps)) ** k,
+                     math.comb(sum(kept) + k - 1, k) if order == 1 else 0)
         if max(search, 12 * 8 * k * listed) > 8 * state_cap:
             raise StateSpaceError(f"configuration search over {search} configurations, {listed} "
                                   f"listed at once, exceeds a table at cap {state_cap}")
@@ -129,23 +129,17 @@ class _StateSpace:
         self.n = n
         self.k = k
         self.state_cap = state_cap
-        self.col_group = self.group if self.twins is None else self.twins.columns(self.group)
+        self.col_group = self.twins.columns(self.group)
         if order > 1:
             self.configs = self._successors[0]
         else:  # the kept configurations that twin swaps do not lower
             cfgs = np.array(list(itertools.combinations_with_replacement(
                 itertools.compress(range(n), kept), k)), dtype=np.int64)
-            cfgs = cfgs[(self._twin_canonical(cfgs) == cfgs).all(axis=1)]
+            cfgs = cfgs[(self.twins.canonical(cfgs) == cfgs).all(axis=1)]
             self.configs = list(map(tuple, cfgs.tolist()))
         self.m = len(self.configs)
-        self.shape = (self.m, self.robber.n)
-        self.occupied = (_occupancy(self.configs, n) if self.twins is None
-                         else self.twins.occupancy(np.array(self.configs))[0])
-
-    def _twin_canonical(self, cfgs: np.ndarray) -> np.ndarray:
-        """cfgs, sorted k-tuples along the last axis, each replaced by the
-        least tuple that twin swaps reach (see `TwinColumns.canonical`)."""
-        return cfgs if self.twins is None else self.twins.canonical(cfgs)
+        self.shape = (self.m, c)
+        self.occupied = self.twins.free(np.array(self.configs)) == 0
 
     @functools.cached_property
     def _successors(self) -> tuple[list, np.ndarray, np.ndarray, np.ndarray, tuple]:
@@ -161,7 +155,7 @@ class _StateSpace:
         twins have equal neighbourhoods, so every step's twin-least form is a
         kept step's."""
         n, k, group = self.n, self.k, self.group
-        columns = self.robber.n
+        columns = self.twins.robber.n
         table = _rank_table(n, k)
         size = np.array(list(map(len, self.steps)))
         width = int(size.max()) ** k  # the most cop steps from one configuration
@@ -181,7 +175,7 @@ class _StateSpace:
             # stable sorts only: numpy's default quicksort is separate code
             # that a process would otherwise page in (about 0.3 MB of RSS)
             cfgs.sort(axis=1, kind="stable")
-            cfgs = self._twin_canonical(cfgs)
+            cfgs = self.twins.canonical(cfgs)
             src = np.repeat(frontier, size[reps].prod(axis=1))
             # each row's distinct successors, ascending, so that a first-hit
             # argmin realizes the lexicographic tie-break
@@ -190,7 +184,7 @@ class _StateSpace:
             src, own = src[at], own[at]
             distinct = np.concatenate(([True], (src[1:] != src[:-1]) | (own[1:] != own[:-1])))
             src, at = src[distinct], at[distinct]
-            rank, elem = _canonical(cfgs[at], group, table, self._twin_canonical)
+            rank, elem = _canonical(cfgs[at], group, table, self.twins.canonical)
             rows.append(src)
             ranks.append(rank)
             elems.append(elem)
@@ -202,7 +196,7 @@ class _StateSpace:
             new = ~seen[fresh]
             fresh, first = fresh[new], first[new]
             seen[fresh] = True
-            images = self._twin_canonical(
+            images = self.twins.canonical(
                 np.sort(group[elem[first, None], cfgs[at[first]]], axis=1, kind="stable"))
             pending.extend(zip(_slices(fresh, width), _slices(images, width)))
             orbits += len(fresh)
@@ -226,6 +220,9 @@ class _StateSpace:
         slot = np.searchsorted(pairs, code)[np.argsort(row, kind="stable")]
         count = np.bincount(row, minlength=m)
         del row, code
+        if m * int(count.max()) > self.state_cap:  # padded: m x the widest row, in int64
+            raise StateSpaceError(f"{m} configuration rows x {int(count.max())} successor "
+                                  f"slots exceeds cap {self.state_cap}")
         return configs, _padded_flat(slot, count), count, self.col_group[used], np.divmod(pairs, m)
 
     @property
@@ -257,7 +254,7 @@ class _StateSpace:
         """(m, S) rows of `group` that map each row's configuration onto
         itself, up to twin swaps, identity first; short rows repeat it."""
         reps = np.array(self.configs)
-        fixes = [np.all(self._twin_canonical(np.sort(s[reps], 1, kind="stable")) == reps, 1)
+        fixes = [np.all(self.twins.canonical(np.sort(s[reps], 1, kind="stable")) == reps, 1)
                  for s in self.group]
         row, elem = np.nonzero(np.array(fixes).T)
         return _padded_flat(elem, np.bincount(row, minlength=self.m))
@@ -265,7 +262,7 @@ class _StateSpace:
     @functools.cached_property
     def walk(self) -> np.ndarray:
         """Cop-free robber walk matrix between the vertices, rows uniform
-        over N(v), of a space without twin classes (with them see
+        over N(v), of a space whose classes do not lump (where they do see
         `TwinColumns.smear`). On one vertex the robber has no step and it is
         the 1 x 1 zero; every state is occupied there."""
         flat, _, deg = self.g._neighbor_table(closed=False)
@@ -275,7 +272,7 @@ class _StateSpace:
 
     @functools.cached_property
     def smear_plan(self):
-        """`TwinColumns.smear_plan` of the rows (twin classes only)."""
+        """`TwinColumns.smear_plan` of the rows (lumped classes only)."""
         return self.twins.smear_plan(np.array(self.configs), self.occupied)
 
     @functools.cached_property
@@ -287,10 +284,8 @@ class _StateSpace:
     def capturable(self):
         """Flat indices of the free states where a cop can step onto the
         robber, whose value is 1 (a cop step onto a class's free member ends
-        the game, which a class column does not record); None without
-        twins, where the successor tables record it."""
-        if self.twins is None:
-            return None
+        the game, which a class column does not record; where classes are
+        vertices the successor tables record it too)."""
         return self.twins.capturable(np.array(self.configs), self.occupied)
 
     @functools.cached_property
@@ -516,16 +511,16 @@ def _retrograde(space: _StateSpace) -> tuple[np.ndarray, int]:
     (q, cols[e][z]) for each slot of row r that reads row q through e (see
     `_StateSpace.reads`); and (q, w) is decided with (q, s(w)) for each s
     in row q's stabilizer (see `_StateSpace`).
-    With twin classes a column z is a class, and a counter counts the
-    robber's distinct class moves (the robber's graph is the twin quotient).
-    A cop step onto a free twin of the robber's vertex leaves no trace in the
-    slots, so the layer 0 pass decides the capturable states at 1.
+    A column z is a twin class, and a counter counts the robber's distinct
+    class moves (the robber's graph is the twin quotient). A cop step onto a
+    free twin of the robber's vertex leaves no trace in the slots, so the
+    layer 0 pass decides the capturable states at 1.
     """
     m, n = space.shape
     occupied = space.occupied.ravel()
     C = np.full(m * n, np.inf)
     C[occupied] = 0.0
-    flat, start, size = space.robber._neighbor_table(closed=True)
+    flat, start, size = space.twins.robber._neighbor_table(closed=True)
     # occupied robber states start decided at 0; decrements only take them
     # further below 0, so they never reach 0 again
     count = np.tile(size.astype(np.int32), m)
@@ -536,6 +531,7 @@ def _retrograde(space: _StateSpace) -> tuple[np.ndarray, int]:
     elem, row = space.reads
     stab = space.stabilizers if len(space.group) > 1 else None
     frontier = np.flatnonzero(occupied)
+    C[space.capturable] = 1.0
     t = 0
     while True:
         robber = [frontier] if t == 0 else []  # occupied robber states: R = 0
@@ -546,10 +542,7 @@ def _retrograde(space: _StateSpace) -> tuple[np.ndarray, int]:
             np.subtract.at(count, pred, one)
             # a counter at 0 is never decremented again: free as scratch
             robber.append(_distinct(pred[count[pred] == 0], count))
-        cop = [frontier[:0]]
-        if t == 0 and space.capturable is not None:
-            cop.append(space.capturable)
-            C[cop[-1]] = 1.0
+        cop = [space.capturable if t == 0 else frontier[:0]]
         for r in _slices(np.concatenate(robber), succ.shape[1]):
             x, y = np.divmod(r, n)
             if len(perms) == 1:  # pads repeat an entry
@@ -681,14 +674,14 @@ def _smeared(space: _StateSpace, C: np.ndarray, out: np.ndarray, scratch=None) -
 
     Equals the substochastic cop-modified walk applied to row c: the columns
     at cop vertices contribute nothing because the table is zero there, and
-    the cop-occupied rows are masked out explicitly. With twin classes see
+    the cop-occupied rows are masked out explicitly. Where classes lump see
     `TwinColumns.smear`, which reads `scratch`, a table like out. All
     three are C-contiguous.
     """
-    if space.twins is None:
-        np.matmul(C, space.walk.T, out=out)
-    else:
+    if space.twins.lumps:
         space.twins.smear(space.smear_plan, C, out, scratch)
+    else:
+        np.matmul(C, space.walk.T, out=out)
     out.reshape(-1)[space.occupied_at] = 0.0
     return out
 
@@ -697,8 +690,8 @@ def _drunk_jacobi(space: _StateSpace, opts: SolveOptions):
     """`_sweeps` with 1 + the successor min of the smeared table. Each
     sweep smears the table into the m rows of a stack and copies each of
     its P pair rows from its row, columns permuted by its element, so every
-    slot is a row gather (see `_StateSpace.reads`). With twin classes the
-    capturable states are set to 1 (see `_StateSpace.capturable`)."""
+    slot is a row gather (see `_StateSpace.reads`). The capturable states
+    are set to 1 (see `_StateSpace.capturable`)."""
     (m, columns), cols = space.shape, space.cols
     elem, row = space.reads
     if (2 * m + len(row)) * columns > 3 * space.state_cap:  # as 3 tables on the full space
@@ -718,8 +711,7 @@ def _drunk_jacobi(space: _StateSpace, opts: SolveOptions):
         _gathered_min(plan, stack, out)
         out += 1.0
         flat = out.reshape(-1)
-        if space.capturable is not None:
-            flat[space.capturable] = 1.0
+        flat[space.capturable] = 1.0
         flat[space.occupied_at] = 0.0
 
     return _sweeps(space, step, opts)
@@ -826,8 +818,8 @@ def _drunk_start(
     if opts is None:
         opts = SolveOptions()
     space, C, stats = _drunk_table(g, k, opts, state_cap, symmetric=True)
-    weighed = C if space.twins is None else C * space.twins.occupancy(np.array(space.configs))[1]
-    means = weighed.sum(axis=1) / g.n
+    free = space.twins.free(np.array(space.configs))
+    means = np.multiply(free, C, out=free).sum(axis=1) / g.n
     return space.configs[_near_min(means)], float(means.min()), stats
 
 

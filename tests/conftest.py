@@ -79,9 +79,9 @@ def listed_successors(space):
     for cfg in space.configs:
         steps = np.array(np.meshgrid(*map(space.g.closed_neighbors, cfg), indexing="ij"))
         steps = steps.reshape(space.k, -1).T
-        steps = space._twin_canonical(np.sort(steps, axis=1))
+        steps = space.twins.canonical(np.sort(steps, axis=1))
         own = steps[np.unique(solver._ranks(steps, table), return_index=True)[1]]
-        rank, elem = solver._canonical(own, space.group, table, space._twin_canonical)
+        rank, elem = solver._canonical(own, space.group, table, space.twins.canonical)
         rows = np.searchsorted(ranks, rank)
         assert np.array_equal(ranks[rows], rank)  # every successor orbit is a row
         pairs.append(list(zip(rows.tolist(), map(tuple, space.col_group[elem].tolist()))))
@@ -206,16 +206,16 @@ def lift_quotient(q, C):
     """The full (configurations x n) table of a table C over the rows of a
     symmetric `solver._StateSpace` q. Row x is C's row r for x's orbit with
     its columns permuted by the group element s that maps x onto r's
-    configuration: the value at (x, y) is the value at (s(x), s(y)). With
-    twin classes (`q.twins`), s(y) is read at its class's column, and the
-    vertices of x read 0."""
+    configuration: the value at (x, y) is the value at (s(x), s(y)). Where
+    twin classes lump (`q.twins`), s(y) is read at its class's column, and
+    the vertices of x read 0."""
     table = solver._rank_table(q.n, q.k)
     configs = np.array(list(itertools.combinations_with_replacement(range(q.n), q.k)))
-    ranks, elems = solver._canonical(configs, q.group, table, q._twin_canonical)
+    ranks, elems = solver._canonical(configs, q.group, table, q.twins.canonical)
     rows = np.searchsorted(solver._ranks(np.array(q.configs), table), ranks)
-    images = q._twin_canonical(np.sort(q.group[elems[:, None], configs], axis=1))
+    images = q.twins.canonical(np.sort(q.group[elems[:, None], configs], axis=1))
     assert np.array_equal(images, np.array(q.configs)[rows])  # s(x) is row r
-    if q.twins is None:
+    if not q.twins.lumps:
         return C[rows[:, None], q.group[elems]]
     lifted = C[rows[:, None], q.col_group[elems][:, q.twins.label]]
     lifted[solver._occupancy(configs, q.n)] = 0.0

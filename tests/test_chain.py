@@ -6,6 +6,7 @@ import pytest
 
 import copchase as cc
 from copchase.chain import MASS_TOL, _round_cap, default_round_cap
+from copchase.graphs import _bfs_distances
 
 from conftest import complete_graph, path_sweep, random_connected_graph
 
@@ -234,6 +235,39 @@ def test_survival_stationary_cop_cycle():
     assert cc.adversarial_survival_time(cc.cycle(4), cc.FixedStrategy([(0,)])) == math.inf
 
 
+def reference_survival_time(g, strategy):
+    """`adversarial_survival_time` as a loop over frozensets of positions."""
+    alive = frozenset(range(g.n)) - set(strategy.configs[0])
+    if not alive:
+        return 0
+    seen, t = set(), 0
+    while True:
+        t += 1
+        cops = set(strategy.config_at(t))
+        nxt = set()
+        for y in alive - cops:
+            nxt |= {y, *g.adjacency[y]}
+        alive = frozenset(nxt - cops)
+        if not alive:
+            return t
+        if t >= len(strategy.configs) - 1:
+            if alive in seen:
+                return math.inf
+            seen.add(alive)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_survival_matches_frozenset_reference(seed):
+    g = random_connected_graph(seed, 3 + seed % 9, 0.05 * (seed % 5))
+    k = 1 + seed % 3
+    rng = np.random.default_rng(seed)
+    configs = [tuple(rng.integers(0, g.n, k).tolist())]
+    for _ in range(rng.integers(0, 12)):
+        configs.append(tuple(int(rng.choice(g.closed_neighbors(v))) for v in configs[-1]))
+    strategy = cc.FixedStrategy(configs)
+    assert cc.adversarial_survival_time(g, strategy) == reference_survival_time(g, strategy)
+
+
 def test_survival_total_cover():
     g = cc.path(3)
     assert cc.adversarial_survival_time(g, cc.FixedStrategy([(0, 1, 2)])) == 0
@@ -283,8 +317,14 @@ def full_diameter_round_cap(g, multiplier):
 
 @pytest.mark.parametrize("multiplier", [1, 10, 100])
 def test_round_cap_matches_full_diameter_formula(multiplier):
+    # a path of 15 with a leaf on each inner vertex, vertex 0 in the middle:
+    # its eccentricity 7 gives 10 x 7 x 3^7 = 153,090 < 10^6, the diameter 14
+    # saturates
+    leafy = cc.Graph(28, [(i, i + 1) for i in range(14)] + [(i, 14 + i) for i in range(1, 14)])
+    leafy = cc.relabel(leafy, [7, *range(1, 7), 0, *range(8, 28)])
+    assert max(_bfs_distances(leafy, 0)) == 7 and cc.validate(leafy).diameter == 14
     graphs = [cc.path(1), cc.path(2), cc.path(3), complete_graph(4), cc.path(1030),
-              cc.cycle(9), cc.lollipop(12, 0.5)]
+              cc.cycle(9), cc.lollipop(12, 0.5), leafy]
     graphs += [random_connected_graph(seed, 2 + seed % 14, 0.02 * (seed % 9))
                for seed in range(150)]
     below = 0

@@ -143,7 +143,7 @@ def test_sweep_records_row_errors(capsys):
     assert rows[2][-1] == ""   # n=5 computed fine
 
 
-@pytest.mark.parametrize("c", ["inf", "-inf", "1e300", "nan"])
+@pytest.mark.parametrize("c", ["inf", "-inf", "1e300", "1e308", "nan"])
 def test_family_input_outside_the_generators_exit_2(capsys, c):
     code, _, err = run_cli(capsys, "ct", "--family", "barbell", "--n", "10", f"--c={c}")
     assert code == 2 and err.startswith("error:") and "Traceback" not in err
@@ -168,10 +168,14 @@ def test_edge_cap_exits_2(capsys, monkeypatch):
 
 def test_trial_budget_exits_3(capsys, monkeypatch):
     # the per-trial state is counted from --trials and --k before the graph
-    # is built or any policy solved; walk mode holds no per-trial state
+    # is built or any policy solved; walk mode holds no per-trial state, only
+    # one slice of walks (see test_walk_budget_exits_3)
     code, out, err = run_cli(capsys, "simulate", "--family", "path", "--n", "5", "--mode",
                              "drunk", "--k", "1", "--trials", str(10**12))
     assert code == 3 and out == "" and err.startswith("error:") and "budget" in err
+    code, _, _ = run_cli(capsys, "simulate", "--mode", "walk", "--n", "10", "--c", "3",
+                         "--trials", "20000")
+    assert code == 0
     monkeypatch.setattr(cc.montecarlo, "MAX_TRIAL_BYTES", 100_000)
     cops = ["simulate", "--family", "grid", "--n", "3", "--mode", "random-cops", "--k", "2",
             "--evader", "uniform", "--seed", "1"]
@@ -186,9 +190,22 @@ def test_trial_budget_exits_3(capsys, monkeypatch):
     assert code == 3 and "budget" in err
     with pytest.raises(cc.TrialBudgetError):
         cc.simulate_drunk_pursuit(cc.path(5), cc.FixedStrategy([(0,)]), 3000, seed=1)
-    code, _, _ = run_cli(capsys, "simulate", "--mode", "walk", "--n", "10", "--c", "3",
-                         "--trials", "20000")
-    assert code == 0
+
+
+def test_walk_budget_exits_3(capsys):
+    # 10^9 steps in one slice would take about 5 GB
+    code, out, err = run_cli(capsys, "simulate", "--mode", "walk", "--n", "1000000000",
+                             "--c", "3", "--trials", "1")
+    assert code == 3 and out == "" and err.startswith("error:") and "budget" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("c", ["inf", "1e308"])
+def test_walk_unbounded_ratio_exits_0(capsys, c):
+    code, out, err = run_cli(capsys, "simulate", "--mode", "walk", "--n", "10", f"--c={c}",
+                             "--trials", "5", "--seed", "1", "--json")
+    assert code == 0 and "Traceback" not in err
+    assert json.loads(out)["exceedance"] == 0.0
 
 
 def test_greedy_distance_table_exits_3(capsys, monkeypatch):

@@ -549,6 +549,28 @@ def test_walk_memory_in_bytes():
     assert traced_peak(lambda: cc.walk_deviation_check(1000, 3, 20000, seed=2)) < 4_000_000
 
 
+def test_walk_deviation_unbounded_ratio():
+    # a bound of n or more is never exceeded, infinite or past float range
+    assert cc.walk_deviation_check(10, math.inf, 5, 1) == 0.0
+    assert cc.walk_deviation_check(10, 1e308, 5, 1) == 0.0
+    assert cc.walk_deviation_check(10, 3.0, 5, 1) == cc.walk_deviation_check(10, 10.0, 5, 1)
+
+
+def test_walk_budget_in_bytes(monkeypatch):
+    # a slice of 260 walks of 1000 steps: int32 positions and an int8 draw,
+    # 5 bytes per step, checked before anything is allocated
+    need = 260 * 1000 * 5
+    monkeypatch.setattr(montecarlo, "MAX_TRIAL_BYTES", need - 1)
+    with pytest.raises(cc.TrialBudgetError, match=f"260 walks of 1000 steps need {need} bytes"):
+        cc.walk_deviation_check(1000, 3, 20000, seed=2)
+    monkeypatch.setattr(montecarlo, "MAX_TRIAL_BYTES", need)
+    assert cc.walk_deviation_check(1000, 3, 20000, seed=2) == 0.0
+    # trials past one slice do not count; 10^20 steps do, before numpy sees them
+    assert cc.walk_deviation_check(1000, 3, 200000, seed=2) == 0.0
+    with pytest.raises(cc.TrialBudgetError):
+        cc.walk_deviation_check(10**20, 3, 1, seed=2)
+
+
 # What a round's temporaries may take beside the per-trial state, with
 # pieces of 1024 trials (about 160 bytes per trial of a piece are in use).
 PIECE_TRIALS, PIECE_BYTES = 1024, 256 * 1024

@@ -159,7 +159,7 @@ def test_lumped_drunk_memory_in_bytes():
     g = cc.lollipop(150, 0.6)
     g._neighbor_table(closed=True)
     space = _StateSpace(g, 1, math.inf, symmetric=True)
-    assert space.twins is not None
+    assert space.twins.lumps
     tracemalloc.start()
     try:
         _drunk_start(g, 1)
@@ -197,8 +197,8 @@ def read_pairs(q):
     for cfg in q.configs:
         steps = np.sort(np.array(list(itertools.product(
             *(q.g.closed_neighbors(v) for v in cfg)))), axis=1)
-        rank, elem = solver._canonical(q._twin_canonical(steps), q.group, table,
-                                       q._twin_canonical)
+        rank, elem = solver._canonical(q.twins.canonical(steps), q.group, table,
+                                       q.twins.canonical)
         rows = np.searchsorted(ranks, rank)
         assert np.array_equal(ranks[rows], rank)
         pairs |= {(tuple(q.col_group[e].tolist()), r)
@@ -342,6 +342,54 @@ def test_lumped_cap_counts_twin_classes():
         cc.drunk_capture_time(g, 1, state_cap=cap - 1)
     with pytest.raises(cc.StateSpaceError):  # the full space counts every vertex
         cc.solve_drunk(g, 1, state_cap=cap)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda g, cap: cc.solve_adversarial(g, 2, state_cap=cap),
+    lambda g, cap: cc.solve_drunk(g, 2, cc.SolveOptions(scheme="gauss-seidel"), state_cap=cap)],
+    ids=["adversarial", "gauss-seidel"])
+def test_padded_successors_are_capped(solve):
+    # the full space of K(1, 59) at k=2 is 1,830 rows x 60 columns = 109,800
+    # states, but from the centre the cops reach all 1,830 configurations:
+    # padded to that row, the slots would be 1,830 x 1,830 int64 (26.8 MB)
+    g = cc.Graph(60, [(0, v) for v in range(1, 60)])
+    g._neighbor_table(closed=True)
+    m = math.comb(61, 2)
+    assert m * g.n == 109_800
+    tracemalloc.start()
+    try:
+        with pytest.raises(cc.StateSpaceError,
+                           match=f"{m} configuration rows x {m} successor slots exceeds cap"):
+            solve(g, 200_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < m * m * 8 / 4  # no m x width table was allocated
+    assert cc.capture_time(g, 2, state_cap=200_000) == 1  # the quotient is 4 x 2
+
+
+def twin_free_graphs():
+    """Seeded random graphs without twins, 1 or 2 cops each."""
+    graphs = (random_connected_graph(seed, 5 + seed % 6, 0.1 * (seed % 4)) for seed in range(60))
+    free = [g for g in graphs if cc.graphs.twin_classes(g).max() == g.n - 1]
+    return [(g, 1 + i % 2) for i, g in enumerate(free[:8])]
+
+
+@pytest.mark.parametrize("g,k", twin_free_graphs())
+@pytest.mark.parametrize("symmetric", [False, True], ids=["full", "quotient"])
+def test_capturable_states_hold_1_without_the_seed(g, k, symmetric):
+    # where every class is one vertex the successor slots record a cop's
+    # step onto the robber, so the capturable states reach 1 without being
+    # set: the seed in the retrograde pass and the Jacobi step is a no-op
+    seeded = _StateSpace(g, k, math.inf, symmetric)
+    assert not seeded.twins.lumps and len(seeded.capturable)
+    unseeded = _StateSpace(g, k, math.inf, symmetric)
+    unseeded.capturable = seeded.capturable[:0]  # the cached property, emptied
+    for solve in (lambda space: solver._retrograde(space)[0],
+                  lambda space: solver._drunk_jacobi(space, cc.SolveOptions())[0]):
+        table = solve(unseeded)
+        assert np.all(table.reshape(-1)[seeded.capturable] == 1.0)
+        assert np.array_equal(table, solve(seeded))
 
 
 @pytest.mark.parametrize("g,listed", [
