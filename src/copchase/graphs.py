@@ -146,12 +146,12 @@ def _ragged(start: np.ndarray, size: np.ndarray) -> np.ndarray:
     return np.arange(ends[-1] if len(ends) else 0) + (start - ends + size).repeat(size)
 
 
-def _padded_flat(flat: np.ndarray, size: np.ndarray) -> np.ndarray:
-    """Rows laid end to end in flat, row i holding size[i] >= 1 entries, as
-    one table as wide as the widest, short rows padded with their first entry."""
+def _padded_flat(flat: np.ndarray, start: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """Rows of flat, row i the size[i] >= 1 entries from start[i], as one
+    table as wide as the widest, short rows padded with their first entry."""
     width = np.arange(int(size.max()))
     at = np.where(width < size[:, None], width, 0)
-    at += (np.cumsum(size) - size)[:, None]
+    at += start[:, None]
     return flat[at]
 
 

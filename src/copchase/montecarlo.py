@@ -16,7 +16,6 @@ import numpy as np
 
 from .chain import FixedStrategy, _cops_can_move, _round_cap, validate_strategy
 from .graphs import Graph, _bfs_distances, _padded_flat
-from .solver import _occupancy
 from .tables import FeedbackPolicy, _config_rank
 
 RNG_NAME = "philox4x64"
@@ -157,6 +156,13 @@ def _check_config_moves(g: Graph, configs, src_idx: np.ndarray, dst_idx: np.ndar
     for a, b in {(int(a), int(b)) for a, b in zip(src_idx, dst_idx)}:
         if not _cops_can_move(g, configs[a], configs[b]):
             raise SimulationError(f"illegal cop move {configs[a]} -> {configs[b]}")
+
+
+def _occupancy(configs, n: int) -> np.ndarray:
+    """(len(configs), n) mask of the vertices each configuration occupies."""
+    occupied = np.zeros((len(configs), n), dtype=bool)
+    np.put_along_axis(occupied, np.array(configs), True, axis=1)
+    return occupied
 
 
 def _spans(size: int, width: int = 1):
@@ -364,7 +370,7 @@ def simulate_random_cops(
     else:
         dmat = distance_table(g)
         # closed rows of one width, for a first-hit argmax; a pad repeats its row's first entry
-        candidates = _padded_flat(rows[0], rows[2])
+        candidates = _padded_flat(*rows)
 
         def nearest_cop_dist(vertices: np.ndarray, cop_pos: np.ndarray) -> np.ndarray:
             return dmat[vertices[..., None], cop_pos].min(axis=-1)  # cop_pos (..., k)

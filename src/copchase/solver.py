@@ -82,10 +82,10 @@ class _StateSpace:
     The cap counts what a solve path holds: retrograde, rows x columns
     (checked as rows are found); quotient Jacobi, (3m + P) x columns / 3 for
     two tables and m + P stack rows (see `_drunk_jacobi`); the full space,
-    m x n, as its three tables count; and every path, the m x (widest row)
-    slots of `succ_padded`, checked before they are padded. Up front it
-    bounds C(c+k-1, k) x c / (declared group order) for c columns, and by a
-    table at the cap the bytes the search marks and lists (see `_successors`).
+    m x n, as its three tables count; and every path, the successor slots
+    of `slots`, counted as the search lists them. Up front it bounds
+    C(c+k-1, k) x c / (declared group order) for c columns, and by a table
+    at the cap the bytes the search marks and lists (see `_successors`).
 
     Values are invariant under the group: if s maps a successor x' of a row
     onto the row r, the value at (x', y) is the value at (r, s(y)). So a
@@ -125,10 +125,7 @@ class _StateSpace:
         if max(search, 12 * 8 * k * listed) > 8 * state_cap:
             raise StateSpaceError(f"configuration search over {search} configurations, {listed} "
                                   f"listed at once, exceeds a table at cap {state_cap}")
-        self.g = g
-        self.n = n
-        self.k = k
-        self.state_cap = state_cap
+        self.g, self.n, self.k, self.state_cap = g, n, k, state_cap
         self.col_group = self.twins.columns(self.group)
         if order > 1:
             self.configs = self._successors[0]
@@ -142,12 +139,12 @@ class _StateSpace:
         self.occupied = self.twins.free(np.array(self.configs)) == 0
 
     @functools.cached_property
-    def _successors(self) -> tuple[list, np.ndarray, np.ndarray, np.ndarray, tuple]:
-        """The orbit representatives, `succ_padded`, `succ_count`, `cols`
-        and `reads`. Pieces of rows are expanded one at a time: each cop's
-        steps onto its kept closed neighbours are listed, put in twin-least
-        form, ranked and canonicalized in numpy, and the orbits not seen
-        before become new pieces. Under the trivial group every row is known
+    def _successors(self) -> tuple[list, tuple, np.ndarray, tuple]:
+        """The orbit representatives, `slots`, `cols` and `reads`. Pieces
+        of rows are expanded one at a time: each cop's steps onto its kept
+        closed neighbours are listed, put in twin-least form, ranked and
+        canonicalized in numpy, and the orbits not seen before become new
+        pieces. Under the trivial group every row is known
         from the start; otherwise the search starts from the all-at-0 orbit
         (rank 0, the least of all), so only representatives are expanded.
         Steps to twins of one another become one successor: they lie in one
@@ -163,7 +160,7 @@ class _StateSpace:
         frontier = _ranks(reps, table)
         seen = np.zeros(math.comb(n + k - 1, k), dtype=bool)  # by rank
         seen[frontier] = True  # under the trivial group every row, and so every successor
-        orbits = len(frontier)
+        orbits, listed = len(frontier), 0
         pending = list(zip(_slices(frontier, width), _slices(reps, width)))
         found, rows, ranks, elems = [], [], [], []
         while pending:
@@ -184,6 +181,9 @@ class _StateSpace:
             src, own = src[at], own[at]
             distinct = np.concatenate(([True], (src[1:] != src[:-1]) | (own[1:] != own[:-1])))
             src, at = src[distinct], at[distinct]
+            listed += len(src)
+            if listed > self.state_cap:  # in int64, laid end to end
+                raise StateSpaceError(f"{listed}+ successor slots exceeds cap {self.state_cap}")
             rank, elem = _canonical(cfgs[at], group, table, self.twins.canonical)
             rows.append(src)
             ranks.append(rank)
@@ -217,37 +217,31 @@ class _StateSpace:
         read = np.zeros(len(used) * m, dtype=bool)
         read[:m] = read[code] = True
         pairs = np.flatnonzero(read)  # the code of each slot
-        slot = np.searchsorted(pairs, code)[np.argsort(row, kind="stable")]
         count = np.bincount(row, minlength=m)
-        del row, code
-        if m * int(count.max()) > self.state_cap:  # padded: m x the widest row, in int64
-            raise StateSpaceError(f"{m} configuration rows x {int(count.max())} successor "
-                                  f"slots exceeds cap {self.state_cap}")
-        return configs, _padded_flat(slot, count), count, self.col_group[used], np.divmod(pairs, m)
+        # codes by row before the slots are made: the long-held slots then fill freed heap
+        code = code[np.argsort(row, kind="stable")]
+        slots = (np.searchsorted(pairs, code), np.cumsum(count) - count, count)
+        return configs, slots, self.col_group[used], np.divmod(pairs, m)
 
     @property
-    def succ_padded(self) -> np.ndarray:
-        """Per-row successor slots (one independent step per cop), sorted by
-        successor configuration so that a first-hit argmin realizes the
-        lexicographic tie-break; short rows repeat their first entry, which
-        never wins a min. Built on first use."""
+    def slots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-row successor slots (one independent step per cop), laid end
+        to end with each row's start and size as `Graph._neighbor_table` lays
+        neighbour rows, sorted by successor configuration so that a first-hit
+        argmin realizes the lexicographic tie-break. Built on first use."""
         return self._successors[1]
-
-    @property
-    def succ_count(self) -> np.ndarray:
-        return self._successors[2]
 
     @property
     def cols(self) -> np.ndarray:
         """(E, n) column permutations of the slots: the group elements used."""
-        return self._successors[3]
+        return self._successors[2]
 
     @property
     def reads(self) -> tuple[np.ndarray, np.ndarray]:
         """Per slot, the element (row of `cols`) and the row it reads: slot
         r < m reads row r through the identity, slot m + p the p-th of the P
         distinct (element > 0, row) pairs that slots read, in that order."""
-        return self._successors[4]
+        return self._successors[3]
 
     @functools.cached_property
     def stabilizers(self) -> np.ndarray:
@@ -257,7 +251,8 @@ class _StateSpace:
         fixes = [np.all(self.twins.canonical(np.sort(s[reps], 1, kind="stable")) == reps, 1)
                  for s in self.group]
         row, elem = np.nonzero(np.array(fixes).T)
-        return _padded_flat(elem, np.bincount(row, minlength=self.m))
+        size = np.bincount(row, minlength=self.m)
+        return _padded_flat(elem, np.cumsum(size) - size, size)
 
     @functools.cached_property
     def walk(self) -> np.ndarray:
@@ -296,21 +291,14 @@ class _StateSpace:
         closed neighbourhoods of an undirected graph), so lower-numbered
         successors sit on lower levels, higher-numbered ones on higher
         levels, and rows of one level are never successors of each other."""
-        level = []
-        for x, (succ, count) in enumerate(zip(self.succ_padded.tolist(),
-                                              self.succ_count.tolist())):
-            lower = bisect.bisect_left(succ, x, 0, count)  # rows are sorted
-            level.append(1 + max(level[s] for s in succ[:lower]) if lower else 0)
+        flat, start, size = self.slots
+        flat, level = flat.tolist(), []
+        for x, (lo, hi) in enumerate(zip(start.tolist(), (start + size).tolist())):
+            lower = bisect.bisect_left(flat, x, lo, hi)  # rows are sorted
+            level.append(1 + max(level[s] for s in flat[lo:lower]) if lower > lo else 0)
         level = np.array(level, dtype=np.int64)
         order = np.argsort(level, kind="stable")
         return np.split(order, np.cumsum(np.bincount(level))[:-1])
-
-
-def _occupancy(configs, n: int) -> np.ndarray:
-    """(len(configs), n) mask of the vertices each configuration occupies."""
-    occupied = np.zeros((len(configs), n), dtype=bool)
-    np.put_along_axis(occupied, np.array(configs), True, axis=1)
-    return occupied
 
 
 # A group of rows in the successor min reads slices of the table, not
@@ -324,34 +312,38 @@ _RUN_ENTRIES = 1024
 # Other groups gather pieces of rows of at most this many table entries: two
 # such pieces are the min's only temporaries, where whole groups peaked at
 # two copies of their rows (G10 k=2: 0.6 MB lower peak RSS; 2^13 made G10
-# 30% slower, 2^15 as fast or faster on G10, G12 and paths).
-_PIECE_ENTRIES = 2**15
+# 30% slower). 2^15 was up to 10% faster on G10 and G12 k=2, but its 256 KB
+# pieces of a 100-column table cross glibc's 128 KB mmap threshold, which put
+# the peak RSS of `dct` on G10 k=2 in one of two modes 0.2 MB apart.
+_PIECE_ENTRIES = 2**14
 
 
-def _min_plan(succ: np.ndarray, count: np.ndarray, columns: int):
-    """The plan of `_gathered_min` for padded lists succ of count entries
-    over a table `columns` wide: per width class (widths in [2^i, 2^(i+1))),
-    the first row of each distinct list with the lists cut to the class's
-    widest, and the runs `_RUN_ENTRIES` allows, or None; then the other
-    rows, and the first row of their list. Equal lists are equal rows (pads
-    repeat an entry), found by stable sorts one column at a time. A run is
-    a row, one list entry per column, and a length: the rows from there on
-    read the entries from there on."""
-    order = np.arange(len(succ))
-    for key in (*succ.T[::-1], count):  # the last sort's key is the first
-        order = order[np.argsort(key[order], kind="stable")]
-    head = np.concatenate(([True], np.diff(succ[order], axis=0).any(axis=1)))
-    first = order[head]
-    groups = []
-    for rows in np.split(first, np.flatnonzero(np.diff(np.frexp(count[first])[1])) + 1):
-        lists = succ[rows, :count[rows[-1]]]
+def _min_plan(flat: np.ndarray, start: np.ndarray, size: np.ndarray, columns: int):
+    """The plan of `_gathered_min` for lists laid end to end (see
+    `_StateSpace.slots`) over a table `columns` wide: per width class (widths
+    in [2^i, 2^(i+1))), the first row of each distinct list with the lists
+    padded to the class's widest, and the runs `_RUN_ENTRIES` allows, or
+    None; then the other rows, and the first row of their list. Equal lists
+    are equal padded rows (pads repeat an entry), found by one stable sort.
+    A run is a row, one list entry per column, and a length: the rows from
+    there on read the entries from there on."""
+    by_size = np.argsort(size, kind="stable")
+    groups, rest, src = [], [], []
+    for rows in np.split(by_size, np.flatnonzero(np.diff(np.frexp(size[by_size])[1])) + 1):
+        lists = _padded_flat(flat, start[rows], size[rows])
+        order = np.lexsort((*lists.T[::-1], size[rows]))  # the last key is the first
+        head = np.concatenate(([True], np.diff(lists[order], axis=0).any(axis=1)))
+        first = order[head]
+        rest.append(rows[order[~head]])
+        src.append(rows[first][np.cumsum(head)[~head] - 1])
+        rows, lists = rows[first], lists[first]
         keys = np.column_stack([rows, lists])
-        start = np.flatnonzero(np.concatenate(([True], (np.diff(keys, axis=0) != 1).any(axis=1))))
+        cut = np.flatnonzero(np.concatenate(([True], (np.diff(keys, axis=0) != 1).any(axis=1))))
         runs = None
-        if len(rows) * columns >= _RUN_ENTRIES * len(start):
-            runs = list(zip(keys[start].tolist(), np.diff(start, append=len(rows)).tolist()))
+        if len(rows) * columns >= _RUN_ENTRIES * len(cut):
+            runs = list(zip(keys[cut].tolist(), np.diff(cut, append=len(rows)).tolist()))
         groups.append((rows, lists, runs))
-    return groups, order[~head], first[np.cumsum(head)[~head] - 1]
+    return groups, np.concatenate(rest), np.concatenate(src)
 
 
 def _gathered_min(plan, table: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -527,7 +519,7 @@ def _retrograde(space: _StateSpace) -> tuple[np.ndarray, int]:
     count[occupied] = 0
     one = np.int32(1)  # a Python int sends np.subtract.at down its slow path
     width = int(size.max())
-    succ, perms = space.succ_padded, space.cols
+    (succ, succ_start, succ_size), perms = space.slots, space.cols
     elem, row = space.reads
     stab = space.stabilizers if len(space.group) > 1 else None
     frontier = np.flatnonzero(occupied)
@@ -543,13 +535,14 @@ def _retrograde(space: _StateSpace) -> tuple[np.ndarray, int]:
             # a counter at 0 is never decremented again: free as scratch
             robber.append(_distinct(pred[count[pred] == 0], count))
         cop = [space.capturable if t == 0 else frontier[:0]]
-        for r in _slices(np.concatenate(robber), succ.shape[1]):
-            x, y = np.divmod(r, n)
-            if len(perms) == 1:  # pads repeat an entry
-                pred = (succ[x] * n + y[:, None]).ravel()
-            else:
-                s = succ[x]
-                pred = (row[s] * n + perms[elem[s], y[:, None]]).ravel()
+        robber = np.concatenate(robber)  # in pieces of about `_SLICE_ENTRIES` slots
+        ends = succ_size[robber // n].cumsum()
+        cuts = [0, *(np.flatnonzero(np.diff(ends // _SLICE_ENTRIES)) + 1).tolist(), len(ends)]
+        for a, b in zip(cuts, cuts[1:]):
+            x, y = np.divmod(robber[a:b], n)
+            moves = succ_size[x]
+            s, z = succ[_ragged(succ_start[x], moves)], y.repeat(moves)
+            pred = s * n + z if len(perms) == 1 else row[s] * n + perms[elem[s], z]
             pred = pred[C[pred] == np.inf]
             if stab is not None:
                 q, w = np.divmod(pred, n)
@@ -606,8 +599,8 @@ def _argmin_policy(space: _StateSpace, table: np.ndarray) -> np.ndarray:
     """Per state, the first (lexicographically smallest) successor
     configuration minimizing `table`; occupied states hold."""
     out = np.empty((space.m, space.n), dtype=np.int64)
-    for i, count in enumerate(space.succ_count.tolist()):
-        succ = space.succ_padded[i, :count]
+    flat, start, _ = space.slots
+    for i, succ in enumerate(np.split(flat, start[1:])):
         out[i] = succ[table[succ].argmin(axis=0)]
     out[space.occupied] = np.nonzero(space.occupied)[0]
     return out
@@ -700,7 +693,7 @@ def _drunk_jacobi(space: _StateSpace, opts: SolveOptions):
                               f"exceeds cap {space.state_cap}")
     stack = np.empty((len(row), columns))
     smear, ends = stack[:m], np.cumsum(np.bincount(elem)).tolist()  # e's slots end at ends[e]
-    plan = _min_plan(space.succ_padded, space.succ_count, columns)
+    plan = _min_plan(*space.slots, columns)
 
     def step(C, out):
         _smeared(space, C, smear, out)  # out is scratch until the min writes every row
@@ -754,17 +747,17 @@ def _drunk_gauss_seidel(space: _StateSpace, opts: SolveOptions):
     P = space.walk
     W = np.zeros((space.m, space.n))  # masked smear of the current table, row by row
     cops = np.array(space.configs)
-    count = space.succ_count
-    # each row's or level's own successors (padding to the widest row slows
-    # cliques) and cop columns, built once per solve rather than once per sweep
+    flat, start, size = space.slots
+    # each row's or level's own successors, padded to the level's widest,
+    # and cop columns, built once per solve rather than once per sweep
     steps = []
     for rows in space.levels:
         if len(rows) < _BLOCK_MIN_ROWS:
-            steps.extend((x, space.succ_padded[x, :count[x]], cops[x], (x, cops[x]))
+            steps.extend((x, flat[start[x]: start[x] + size[x]], cops[x], (x, cops[x]))
                          for x in rows.tolist())
         else:
             cols = cops[rows]
-            steps.append((rows, space.succ_padded[rows, :int(count[rows].max())],
+            steps.append((rows, _padded_flat(flat, start[rows], size[rows]),
                           (np.arange(len(rows))[:, None], cols), (rows[:, None], cols)))
 
     def step(C, out):

@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 
 import copchase as cc
-from copchase import solver
+from copchase import montecarlo, solver
 
 
 def complete_graph(n: int) -> cc.Graph:
@@ -45,10 +45,17 @@ def cycle_opposite_sweep(n: int) -> cc.FixedStrategy:
     )
 
 
+def slot_rows(space):
+    """The successor slots of each row of a `solver._StateSpace`, one array
+    per row, sliced from `slots`."""
+    flat, start, size = space.slots
+    return [flat[lo:lo + c] for lo, c in zip(start.tolist(), size.tolist())]
+
+
 def padded_min(succ, table, out):
     """Reference successor min: out[i] = entrywise min of table over the
-    rows succ[i, :], padded rows and all; with `succ_padded`, over the
-    successors of config i."""
+    rows succ[i, :], padded rows and all; with `_padded_flat(*space.slots)`,
+    over the successors of config i."""
     np.copyto(out, table[succ[:, 0]])
     for j in range(1, succ.shape[1]):
         np.minimum(out, table[succ[:, j]], out=out)
@@ -218,5 +225,5 @@ def lift_quotient(q, C):
     if not q.twins.lumps:
         return C[rows[:, None], q.group[elems]]
     lifted = C[rows[:, None], q.col_group[elems][:, q.twins.label]]
-    lifted[solver._occupancy(configs, q.n)] = 0.0
+    lifted[montecarlo._occupancy(configs, q.n)] = 0.0
     return lifted

@@ -22,11 +22,12 @@ from hypothesis import strategies as st
 import copchase as cc
 from copchase import solver
 from copchase.chain import MASS_TOL
+from copchase.graphs import _padded_flat
 from copchase.solver import SolveOptions, SweepStats, _drunk_start, _StateSpace
 from copchase.tables import _config_rank
 
 from conftest import (dense_class_walk, exact_drunk_values, lift_quotient, listed_successors,
-                      minimax_capture_value, padded_min, random_connected_graph)
+                      minimax_capture_value, padded_min, random_connected_graph, slot_rows)
 
 # derandomized: every run draws the same examples
 SETTINGS = settings(max_examples=60, derandomize=True, database=None, deadline=None)
@@ -69,7 +70,7 @@ def fixpoint_adversarial(space):
     while True:
         sweeps += 1
         solver._robber_max(space, C, R)
-        padded_min(space.succ_padded, R, C_new)
+        padded_min(_padded_flat(*space.slots), R, C_new)
         C_new += 1.0
         C_new[space.occupied] = 0.0
         if np.array_equal(C_new, C):
@@ -187,9 +188,9 @@ def assert_gathered_min_matches_padded(g, k, seed=0):
     for symmetric in (False, True):
         space = _StateSpace(g, k, math.inf, symmetric=symmetric)
         table = np.random.default_rng(seed).random((len(space.cols) * space.m, space.n))
-        padded = padded_min(space.succ_padded, table, np.empty((space.m, space.n)))
+        padded = padded_min(_padded_flat(*space.slots), table, np.empty((space.m, space.n)))
         for columns in (0, 10**9):  # gathered rows, then runs of slices wherever any
-            plan = solver._min_plan(space.succ_padded, space.succ_count, columns)
+            plan = solver._min_plan(*space.slots, columns)
             for piece_entries in (1, solver._PIECE_ENTRIES):  # a row per piece, then the default
                 with mock.patch.object(solver, "_PIECE_ENTRIES", piece_entries):
                     out = np.full((space.m, space.n), np.nan)
@@ -215,8 +216,8 @@ def row_by_row_gauss_seidel(space, opts):
     P = space.walk
     C = np.zeros((space.m, space.n))
     W = np.zeros_like(C)  # masked smear of the current table, row by row
-    rows = [(space.succ_padded[x, :count], np.flatnonzero(space.occupied[x]))
-            for x, count in enumerate(space.succ_count.tolist())]
+    rows = [(succ, np.flatnonzero(occupied))
+            for succ, occupied in zip(slot_rows(space), space.occupied)]
     min_increment = math.inf
     for sweep in range(1, opts.max_sweeps + 1):
         delta = 0.0
@@ -271,8 +272,7 @@ def test_wavefront_levels(name):
     for i, rows in enumerate(levels):
         assert len(rows) > 0 and np.all(np.diff(rows) > 0)
         level[rows] = i
-    for x, count in enumerate(space.succ_count.tolist()):
-        succ = space.succ_padded[x, :count]
+    for x, succ in enumerate(slot_rows(space)):
         assert np.all(level[succ[succ < x]] < level[x])
         assert np.all(level[succ[succ != x]] != level[x])  # a level never reads itself
         if np.any(succ < x):
@@ -594,8 +594,7 @@ def assert_kept_steps_reach_every_successor(g, k):
     q = lumped_space(g, k)
     elem, row = q.reads
     pairs = list(zip(row.tolist(), map(tuple, q.cols[elem].tolist())))
-    slots = [[pairs[s] for s in succ[:count]]
-             for succ, count in zip(q.succ_padded.tolist(), q.succ_count.tolist())]
+    slots = [[pairs[s] for s in succ.tolist()] for succ in slot_rows(q)]
     assert slots == listed_successors(q)
 
 
@@ -632,6 +631,27 @@ def test_lumped_quotient_lifts_to_the_full_tables(name):
     assert np.abs(lifted - drunk.values.values).max() <= 1e-12 * drunk.values.values.max()
     assert stats.sweeps == drunk.stats.sweeps
     assert _drunk_start(g, k)[0] == drunk.optimal_start()[0]
+
+
+# full spaces whose successor slots fit the default cap laid end to end,
+# refused while every row was padded to the widest
+NEWLY_ADMITTED = {"K(1,79)-k2": (cc.Graph(80, [(0, v) for v in range(1, 80)]), 2)}
+
+
+@pytest.mark.parametrize("name", sorted(NEWLY_ADMITTED))
+def test_admitted_full_space_matches_the_quotient(name):
+    g, k = NEWLY_ADMITTED[name]
+    drunk = cc.solve_drunk(g, k)
+    q, C, _ = solver._drunk_table(g, k, SolveOptions(), solver.DEFAULT_STATE_CAP, symmetric=True)
+    lifted = lift_quotient(q, C)
+    scale = drunk.values.values.max()
+    assert np.abs(lifted - drunk.values.values).max() <= 1e-9 * scale
+    # the policy reaches the quotient's values: it is optimal
+    assert np.abs(cc.policy_value(g, drunk.policy).values - lifted).max() <= 1e-9 * scale
+    start, dct, _ = _drunk_start(g, k)
+    assert drunk.optimal_start() == (start, pytest.approx(dct, rel=1e-9))
+    assert_quotient_retrograde_matches(g, k)
+    assert cc.solve_adversarial(g, k).capture_time() == cc.capture_time(g, k)
 
 
 def loop_base_transition(g):

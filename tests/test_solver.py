@@ -222,7 +222,7 @@ def test_jacobi_stack_holds_the_read_pairs(g, k, monkeypatch):
     assert np.array_equal(elem[:m], np.zeros(m)) and np.array_equal(row[:m], np.arange(m))
     assert {(tuple(q.cols[e].tolist()), r)
             for e, r in zip(elem[m:].tolist(), row[m:].tolist())} == pairs
-    slots = np.concatenate([s[:c] for s, c in zip(q.succ_padded, q.succ_count)])
+    slots = q.slots[0]
     assert set(slots.tolist()) >= set(range(m, len(row)))  # every pair row is read
     stacks = []
     gathered_min = solver._gathered_min
@@ -344,28 +344,37 @@ def test_lumped_cap_counts_twin_classes():
         cc.solve_drunk(g, 1, state_cap=cap)
 
 
-@pytest.mark.parametrize("solve", [
-    lambda g, cap: cc.solve_adversarial(g, 2, state_cap=cap),
-    lambda g, cap: cc.solve_drunk(g, 2, cc.SolveOptions(scheme="gauss-seidel"), state_cap=cap)],
+@pytest.mark.parametrize("solve,answer", [
+    (lambda g, cap: cc.solve_adversarial(g, 2, state_cap=cap).capture_time(), cc.capture_time),
+    (lambda g, cap: cc.solve_drunk(g, 2, cc.SolveOptions(scheme="gauss-seidel"),
+                                   state_cap=cap).drunk_capture_time(), cc.drunk_capture_time)],
     ids=["adversarial", "gauss-seidel"])
-def test_padded_successors_are_capped(solve):
+def test_star_successor_slots_fit_the_cap(solve, answer):
     # the full space of K(1, 59) at k=2 is 1,830 rows x 60 columns = 109,800
-    # states, but from the centre the cops reach all 1,830 configurations:
-    # padded to that row, the slots would be 1,830 x 1,830 int64 (26.8 MB)
+    # states, and from the centre the cops reach all 1,830 configurations:
+    # padded to that row the slots would be 1,830 x 1,830, but laid end to
+    # end they are 15,872, well inside the cap
     g = cc.Graph(60, [(0, v) for v in range(1, 60)])
+    assert len(_StateSpace(g, 2, 200_000).slots[0]) == 15_872
+    assert solve(g, 200_000) == pytest.approx(answer(g, 2, state_cap=200_000), rel=1e-12)
+
+
+def test_successor_slots_are_capped_as_the_search_lists_them():
+    # the full space of K60 at k=2 is 1,830 rows x 60 columns = 109,800
+    # states, but every configuration reaches every other: 3.35M slots. The
+    # search refuses them once those it has listed pass the cap, long before
+    # it holds them all
+    g = complete_graph(60)
     g._neighbor_table(closed=True)
     m = math.comb(61, 2)
-    assert m * g.n == 109_800
     tracemalloc.start()
     try:
-        with pytest.raises(cc.StateSpaceError,
-                           match=f"{m} configuration rows x {m} successor slots exceeds cap"):
-            solve(g, 200_000)
+        with pytest.raises(cc.StateSpaceError, match=r"^\d+\+ successor slots exceeds cap 200000$"):
+            cc.solve_drunk(g, 2, state_cap=200_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < m * m * 8 / 4  # no m x width table was allocated
-    assert cc.capture_time(g, 2, state_cap=200_000) == 1  # the quotient is 4 x 2
+    assert peak < 8 * m * m  # under the int64 slots of every row
 
 
 def twin_free_graphs():
