@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import philox
 from .chain import FixedStrategy, _cops_can_move, _round_cap, validate_strategy
 from .graphs import Graph, _bfs_distances, _padded_flat
 from .tables import FeedbackPolicy, _config_rank
@@ -44,12 +45,12 @@ class TrialBudgetError(SimulationError):
 
 def trial_bytes(cop_columns: int) -> int:
     """Bytes a simulation holds per trial: an int64 capture time; an int64
-    index, an int32 robber vertex and `cop_columns` int32 cop columns (the
-    cops of a random-cops trial, a feedback policy's configuration, none
+    index, an int32 robber vertex and `cop_columns` int32 arrays (one per
+    cop of a random-cops trial, a feedback policy's configuration, none
     under a fixed strategy) per running trial, twice over while they are
-    compacted; two one-byte masks; and the int64 positions of the trials
-    kept, through which numpy compacts the two-dimensional cop array."""
-    return 8 + 2 * (8 + 4 * (1 + cop_columns)) + 2 + 8
+    compacted; and two one-byte masks. Every array is one-dimensional, so
+    numpy compacts each by its mask alone."""
+    return 8 + 2 * (8 + 4 * (1 + cop_columns)) + 2
 
 
 def check_trials(trials: int, cop_columns: int, tables: tuple = ()) -> None:
@@ -172,25 +173,6 @@ def _spans(size: int, width: int = 1):
     return ((a, min(a + step, size)) for a in range(0, size, step))
 
 
-def _drawn(gen: np.random.Generator, alive: np.ndarray, buf: np.ndarray):
-    """The round's full-length draw of doubles from gen, one per trial (or
-    one row of buf.shape[1] per trial), made one piece of len(buf) trials at
-    a time into buf: yields (a, b, u) with u the draws of the running trials
-    alive[a:b] of the piece. A Philox double is one 64-bit word, so pieces
-    read the numbers that one trials-long draw would; draws past the last
-    running trial are not made."""
-    end = int(alive[-1]) + 1
-    a = 0
-    for lo in range(0, end, len(buf)):
-        hi = min(lo + len(buf), end)
-        u = buf[:hi - lo]
-        gen.random(out=u)
-        b = len(alive) if hi == end else int(alive.searchsorted(hi))
-        if b > a:
-            yield a, b, u[alive[a:b] - lo if lo else alive[a:b]]
-        a = b
-
-
 def _uniform_entries(rows: tuple, at: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Entry floor(u * size[v]) of each row v in `at` of `rows`, the (flat,
     first, size) of `Graph._neighbor_table`, for draws u in [0, 1). The int64
@@ -219,22 +201,22 @@ def _pursue(caught: np.ndarray, state: list, max_rounds: int, master: int,
             cop_step, robber_step) -> SimReport:
     """Play rounds 1, 2, ..., max_rounds of the trials not `caught` at
     placement, and report their capture times; trials still running after
-    max_rounds are censored. `state` lists the int32 per-trial arrays (first
-    axis the trials) and holds their only references; after every step
-    that catches a trial, they and `alive`, the running trials' indices, are
-    compacted to the trials still running. Each round calls
-    cop_step(t, alive, *state) and then, if any trial is left,
-    robber_step(t, alive, *state): a step moves the running trials in place
-    and returns a mask of the ones it caught."""
+    max_rounds are censored. `state` lists the int32 per-trial arrays and
+    holds their only references; `alive` holds the running trials' indices.
+    Each round calls cop_step(t, alive, *state) and robber_step(t, alive,
+    *state): a step moves the running trials in place and returns a mask of
+    the ones it caught. The round then settles once: the trials either step
+    caught get capture time t, and the state and `alive` are compacted to
+    the trials still running. A trial the cops catch still takes its robber
+    step, which reads only its own draws and cannot change its capture time."""
     T = np.full(len(caught), -1, dtype=np.int64)
     alive = _settle(T, 0, caught, np.arange(len(caught)), state)
     t = 0
     while alive.size and t < max_rounds:
         t += 1
-        for step in (cop_step, robber_step):
-            alive = _settle(T, t, step(t, alive, *state), alive, state)
-            if not alive.size:
-                break
+        caught = cop_step(t, alive, *state)
+        caught |= robber_step(t, alive, *state)
+        alive = _settle(T, t, caught, alive, state)
     return _report(T, master)
 
 
@@ -309,9 +291,9 @@ def simulate_drunk_pursuit(
     def robber_step(t, alive, y, *cfg):
         nonlocal stepped
         caught = np.empty(len(alive), dtype=bool)
-        for a, b, u in _drawn(seed.stream("robber", t), alive, buf):
+        for a, b, u in philox.round_draws(seed.stream("robber", t), alive, buf):
             ya = y[a:b].astype(np.intp)
-            stepped = _uniform_entries(rows, ya, u)  # u is the piece's own gathered copy
+            stepped = _uniform_entries(rows, ya, u)  # u is this piece's own to overwrite
             if validate_moves:
                 _check_robber_steps(g, ya, stepped)
             y[a:b] = stepped
@@ -356,14 +338,22 @@ def simulate_random_cops(
 
     place = seed.stream("placement", 0)
     if start is None:
-        cops = place.integers(0, n, size=(trials, k), dtype=np.int32)
+        drawn = place.integers(0, n, size=(trials, k), dtype=np.int32)
+        cops = [np.ascontiguousarray(column) for column in drawn.T]  # one array per cop
+        del drawn
     else:
         cfg = tuple(sorted(start))
         if len(cfg) != k:
             raise SimulationError(f"start {start!r} does not place {k} cops")
         if cfg[0] < 0 or cfg[-1] >= n:  # a negative vertex would wrap around
             raise SimulationError(f"start {start!r} places a cop off the graph's {n} vertices")
-        cops = np.tile(np.array(cfg, dtype=np.int32), (trials, 1))
+        cops = [np.full(trials, v, dtype=np.int32) for v in cfg]
+
+    def caught_by(cops, y) -> np.ndarray:
+        caught = cops[0] == y
+        for cop in cops[1:]:
+            caught |= cop == y
+        return caught
 
     if evader == "uniform-random":
         y = seed.stream("evader", 0).integers(0, n, size=trials, dtype=np.int32)
@@ -372,57 +362,86 @@ def simulate_random_cops(
         # closed rows of one width, for a first-hit argmax; a pad repeats its row's first entry
         candidates = _padded_flat(*rows)
 
-        def nearest_cop_dist(vertices: np.ndarray, cop_pos: np.ndarray) -> np.ndarray:
-            return dmat[vertices[..., None], cop_pos].min(axis=-1)  # cop_pos (..., k)
+        def nearest_cop_dist(vertices: np.ndarray, cops) -> np.ndarray:
+            dist = dmat[vertices, cops[0]]
+            for cop in cops[1:]:
+                np.minimum(dist, dmat[vertices, cop], out=dist)
+            return dist
 
         # the vertex farthest from the nearest starting cop, per trial, over
         # pieces of trials whose (n, piece) distance tables stay one piece big
         y = np.empty(trials, dtype=np.int32)
         for a, b in _spans(trials, n):
-            y[a:b] = nearest_cop_dist(np.arange(n)[:, None], cops[None, a:b]).argmax(axis=0)
+            dist = nearest_cop_dist(np.arange(n)[:, None], [c[None, a:b] for c in cops])
+            y[a:b] = dist.argmax(axis=0)
 
     cop_buf = np.empty((min(trials, _PIECE_TRIALS), k))
 
-    def cop_step(t, alive, cops, y):
-        caught = np.empty(len(alive), dtype=bool)
-        for a, b, u in _drawn(seed.stream("cops", t), alive, cop_buf):
-            moved = _uniform_entries(rows, cops[a:b].astype(np.intp), u)
-            cops[a:b] = moved
-            caught[a:b] = (moved == y[a:b, None]).any(axis=1)
+    def cop_step(t, alive, *state):
+        cops, y = state[:k], state[k]
+        caught = np.zeros(len(alive), dtype=bool)
+        for a, b, u in philox.round_draws(seed.stream("cops", t), alive, cop_buf):
+            for i, cop in enumerate(cops):
+                moved = _uniform_entries(rows, cop[a:b].astype(np.intp), u[:, i])
+                cop[a:b] = moved
+                caught[a:b] |= moved == y[a:b]
         return caught
 
     if evader == "uniform-random":
         buf = np.empty(min(trials, _PIECE_TRIALS))
 
         def move_robber(t, alive, cops, y):
-            for a, b, u in _drawn(seed.stream("evader", t), alive, buf):
+            for a, b, u in philox.round_draws(seed.stream("evader", t), alive, buf):
                 y[a:b] = _uniform_entries(rows, y[a:b].astype(np.intp), u)
                 yield a, b
     else:
         def move_robber(t, alive, cops, y):
             for a, b in _spans(len(alive), width):
                 cand = candidates[y[a:b]]  # (b - a, width)
-                dist = nearest_cop_dist(cand, cops[a:b, None, :])
+                dist = nearest_cop_dist(cand, [c[a:b, None] for c in cops])
                 y[a:b] = cand[np.arange(b - a), dist.argmax(axis=1)]
                 yield a, b
 
-    def robber_step(t, alive, cops, y):
+    def robber_step(t, alive, *state):
+        cops, y = state[:k], state[k]
         caught = np.empty(len(alive), dtype=bool)
         for a, b in move_robber(t, alive, cops, y):
-            caught[a:b] = (cops[a:b] == y[a:b, None]).any(axis=1)
+            caught[a:b] = caught_by([c[a:b] for c in cops], y[a:b])
         return caught
 
-    caught, state = (cops == y[:, None]).any(axis=1), [cops, y]
+    caught, state = caught_by(cops, y), [*cops, y]
     del cops, y  # `state` holds them, and compaction frees them
     return _pursue(caught, state, max_rounds, seed.master, cop_step, robber_step)
 
 
 # Steps drawn per random block (this fixes the stream of each trial) and
-# steps drawn and summed per slice of a block. numpy draws bounded int8
-# values four to a 32-bit word and drops a call's unused bytes, so slices of
-# a multiple of 4 rows continue the block's stream exactly.
+# steps drawn and summed per slice of a block (see `_walk_slices`).
 _WALK_CHUNK_STEPS = 8_000_000
 _WALK_SLICE_STEPS = 1 << 18
+
+
+def _walk_slices(n: int, trials: int) -> tuple[int, int]:
+    """Walks per random block and per slice: a slice holds a multiple of 8
+    rows unless it is its block's only one (see `_walk_bits`)."""
+    chunk = max(1, min(trials, _WALK_CHUNK_STEPS // n))
+    return chunk, min(chunk, max(8, _WALK_SLICE_STEPS // n // 8 * 8))
+
+
+def _walk_bits(seed: SeedSpec, n: int, trials: int):
+    """Per slice of walks (see `_walk_slices`), block by block, the (walks,
+    n) uint8 bits that `integers(0, 2, size=(walks in the block, n),
+    dtype=np.int8)` would draw from the block's stream: that draw takes the
+    bytes of the raw words, low byte first, and keeps each byte's top bit.
+    Slices of a multiple of 8 steps read whole words, so the next slice's
+    first step is the next word's low byte."""
+    chunk, rows = _walk_slices(n, trials)
+    for block, done in enumerate(range(0, trials, chunk)):
+        size = min(chunk, trials - done)
+        stream = seed.stream("walk", block).bit_generator
+        for lo in range(0, size, rows):
+            steps = min(rows, size - lo) * n
+            raw = stream.random_raw(-(-steps // 8)).astype("<u8", copy=False).view(np.uint8)
+            yield np.right_shift(raw[:steps], 7, out=raw[:steps]).reshape(-1, n)
 
 
 def walk_deviation_check(n: int, c: float, trials: int, seed: int) -> float:
@@ -433,33 +452,24 @@ def walk_deviation_check(n: int, c: float, trials: int, seed: int) -> float:
         raise ValueError("n and trials must be >= 1")
     if not c > 2:
         raise ValueError(f"the deviation bound needs c > 2, got {c}")
-    seed = _as_seed(seed)
     # |position| is an integer, so it exceeds the threshold iff it exceeds
     # the threshold's floor, and never exceeds n: a bound past n acts as n
     limit = math.floor(min(n, c * math.sqrt(n * math.log(n))))  # inf and nan too
-    chunk = max(1, min(trials, _WALK_CHUNK_STEPS // n))
-    rows = max(4, _WALK_SLICE_STEPS // n // 4 * 4)
-    need = min(rows, chunk) * n * 5  # a slice's int32 positions and its int8 draw
+    rows = _walk_slices(n, trials)[1]
+    need = rows * n * 5  # a slice's int32 positions and the bytes of its raw words
     if need > MAX_TRIAL_BYTES:
-        raise TrialBudgetError(f"{min(rows, chunk)} walks of {n} steps need {need} bytes, "
+        raise TrialBudgetError(f"{rows} walks of {n} steps need {need} bytes, "
                                f"over the budget of {MAX_TRIAL_BYTES}")
-    positions = np.empty((min(rows, chunk), n), dtype=np.int32)  # every slice's buffer
+    positions = np.empty((rows, n), dtype=np.int32)  # every slice's buffer
     exceeded = 0
-    done = 0
-    block = 0
-    while done < trials:
-        size = min(chunk, trials - done)
-        g = seed.stream("walk", block)
-        for lo in range(0, size, rows):
-            out = positions[:min(rows, size - lo)]
-            # in place in the buffer: a cumsum that widened int8 to int32 would
-            # copy its input
-            np.copyto(out, g.integers(0, 2, size=out.shape, dtype=np.int8))
-            out *= 2
-            out -= 1
-            np.cumsum(out, axis=1, out=out)
-            np.abs(out, out=out)
-            exceeded += int((out.max(axis=1) > limit).sum())
-        done += size
-        block += 1
+    for bits in _walk_bits(_as_seed(seed), n, trials):
+        bits *= 2
+        bits -= 1  # wraps 0 to 255: -1 as int8
+        out = positions[:len(bits)]
+        # in place in the buffer: a cumsum that widened int8 to int32 would
+        # copy its input
+        np.copyto(out, bits.view(np.int8))
+        np.cumsum(out, axis=1, out=out)
+        np.abs(out, out=out)
+        exceeded += int((out.max(axis=1) > limit).sum())
     return exceeded / trials

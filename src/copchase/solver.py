@@ -257,17 +257,27 @@ class _StateSpace:
     @functools.cached_property
     def walk(self) -> np.ndarray:
         """Cop-free robber walk matrix between the vertices, rows uniform
-        over N(v), of a space whose classes do not lump (where they do see
-        `TwinColumns.smear`). On one vertex the robber has no step and it is
-        the 1 x 1 zero; every state is occupied there."""
+        over N(v), for Gauss-Seidel and the smear of a space that does not
+        gather (see `gathers`). On one vertex the robber has no step and it
+        is the 1 x 1 zero; every state is occupied there."""
         flat, _, deg = self.g._neighbor_table(closed=False)
         walk = np.zeros((self.n, self.n))
         walk[np.repeat(np.arange(self.n), deg), flat] = np.repeat(1.0 / np.maximum(deg, 1), deg)
         return walk
 
     @functools.cached_property
+    def gathers(self) -> bool:
+        """Whether `_smeared` gathers by `TwinColumns.smear`, not by the
+        dense product with `walk`: where classes lump, and where the
+        robber's graph has maximum degree 1 or 2 (paths, cycles). There the
+        walk's weights are 1 and 1/2, so each product is exact and the
+        gather's sum of at most two terms equals the product bit for bit;
+        the BLAS product sums all n terms of a row."""
+        return self.twins.lumps or 0 < self.twins.robber._neighbor_table(closed=False)[2].max() <= 2
+
+    @functools.cached_property
     def smear_plan(self):
-        """`TwinColumns.smear_plan` of the rows (lumped classes only)."""
+        """`TwinColumns.smear_plan` of the rows (spaces that gather only)."""
         return self.twins.smear_plan(np.array(self.configs), self.occupied)
 
     @functools.cached_property
@@ -667,11 +677,13 @@ def _smeared(space: _StateSpace, C: np.ndarray, out: np.ndarray, scratch=None) -
 
     Equals the substochastic cop-modified walk applied to row c: the columns
     at cop vertices contribute nothing because the table is zero there, and
-    the cop-occupied rows are masked out explicitly. Where classes lump see
-    `TwinColumns.smear`, which reads `scratch`, a table like out. All
-    three are C-contiguous.
+    the cop-occupied rows are masked out explicitly. Where the space gathers
+    (`_StateSpace.gathers`) see `TwinColumns.smear`, which reads `scratch`,
+    a table like out, made here if None. All three are C-contiguous.
     """
-    if space.twins.lumps:
+    if space.gathers:
+        if scratch is None:
+            scratch = np.empty_like(out)
         space.twins.smear(space.smear_plan, C, out, scratch)
     else:
         np.matmul(C, space.walk.T, out=out)
@@ -854,9 +866,10 @@ def policy_value(
         raise ValueError("policy does not match the graph's configuration space")
     cols = np.arange(space.n)
     W = np.empty((space.m, space.n))
+    scratch = np.empty_like(W) if space.gathers else None
 
     def step(V, out):
-        np.add(_smeared(space, V, W)[idx, cols], 1.0, out=out)
+        np.add(_smeared(space, V, W, scratch)[idx, cols], 1.0, out=out)
         out[space.occupied] = 0.0
 
     V, _ = _sweeps(space, step, opts)

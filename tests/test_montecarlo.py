@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import copchase as cc
-from copchase import montecarlo
+from copchase import montecarlo, philox
 
 from conftest import complete_graph, path_sweep, random_connected_graph
 
@@ -399,6 +399,54 @@ def test_pinned_reports_in_pieces(monkeypatch, piece):
     test_more_reports_are_pinned()
 
 
+def force_direct(monkeypatch, direct: bool):
+    """Make every round compute its running trials' words directly from the
+    stream's key (direct) or draw them through the last running trial."""
+    cost = 0.0 if direct else math.inf
+    monkeypatch.setattr(philox, "_DIRECT_CALL_S", cost)
+    monkeypatch.setattr(philox, "_DIRECT_BLOCK_S", cost)
+
+
+@pytest.mark.parametrize("piece", [None, 3, 7])
+@pytest.mark.parametrize("direct", [True, False], ids=["direct", "drawn"])
+def test_pinned_reports_by_either_path(monkeypatch, direct, piece):
+    # the words a round computes from its stream's key are the ones it would
+    # draw, in every round and piece
+    force_direct(monkeypatch, direct)
+    if piece is None:
+        test_reports_are_pinned()
+        test_more_reports_are_pinned()
+    else:
+        test_pinned_reports_in_pieces(monkeypatch, piece)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_direct_words_match_the_drawn_stream(width):
+    # word i of a round's stream is lane i % 4 of the Philox block at counter
+    # i // 4 + 1; running trials at random and at piece edges, every lane
+    gen = cc.SeedSpec(8).stream("cops", 5)
+    key = gen.bit_generator.state["state"]["key"]
+    piece = montecarlo._PIECE_TRIALS
+    end = 2 * piece + 5
+    drawn = gen.random((end, width))
+    edges = [0, 1, 2, 3, 4, piece - 1, piece, piece + 1, 2 * piece - 1, 2 * piece, end - 1]
+    trials = np.union1d(np.random.default_rng(width).choice(end, 700, replace=False), edges)
+    out = np.empty((len(trials), width))
+    philox.doubles(key, trials, out if width > 1 else out[:, 0])
+    assert np.array_equal(out, drawn[trials])
+    assert set((trials[:, None] * width + np.arange(width)).ravel() % 4) == {0, 1, 2, 3}
+    # words past 2^32, against the stream advanced to their blocks
+    trials = np.array([2**32 // width - 1, 2**32 // width + 1, 2**33 + 3, 2**40 + 7])
+    out = np.empty((len(trials), width))
+    philox.doubles(key, trials, out if width > 1 else out[:, 0])
+    for trial, row in zip(trials.tolist(), out):
+        first = trial * width
+        bits = cc.SeedSpec(8).stream("cops", 5).bit_generator
+        bits.advance(first // 4)  # the next block is at counter first // 4 + 1
+        words = np.random.Generator(bits).random(first % 4 + width)[first % 4:]
+        assert np.array_equal(row, words), trial
+
+
 def test_undefined_policy_is_reported_from_a_later_piece(monkeypatch):
     # the failing trial's own state, found within its piece
     monkeypatch.setattr(montecarlo, "_PIECE_TRIALS", 2)
@@ -521,8 +569,11 @@ def test_walk_deviation_matches_reference(n, trials):
 
 def test_walk_deviation_blocks_and_slices_match_reference(monkeypatch):
     # small blocks and slices: several of each per call, with ragged ends;
-    # slices are drawn call by call, in multiples of 4 rows (at n = 999 the
-    # second setting cuts 30-row blocks into 4-row draws)
+    # slices read whole raw words, in multiples of 8 rows (at n = 999 the
+    # second setting cuts 30-row blocks into 8-row reads). Each step is the
+    # top bit of one byte of the words, low byte first: the steps equal the
+    # blocks' bounded int8 draws
+    cut = set()  # walk lengths whose blocks were read in several slices
     for chunk_steps, slice_steps in [(3000, 700), (30000, 4000)]:
         monkeypatch.setattr(montecarlo, "_WALK_CHUNK_STEPS", chunk_steps)
         monkeypatch.setattr(montecarlo, "_WALK_SLICE_STEPS", slice_steps)
@@ -532,6 +583,17 @@ def test_walk_deviation_blocks_and_slices_match_reference(monkeypatch):
                     assert (cc.walk_deviation_check(n, c, trials, seed=9)
                             == reference_walk_deviation_check(n, c, trials, seed=9,
                                                               chunk_steps=chunk_steps))
+                if n == 10:
+                    continue
+                chunk = montecarlo._walk_slices(n, trials)[0]
+                slices = list(montecarlo._walk_bits(cc.SeedSpec(9), n, trials))
+                if len(slices) > -(-trials // chunk):
+                    cut.add(n)
+                reference = [cc.SeedSpec(9).stream("walk", block).integers(
+                    0, 2, size=(min(chunk, trials - done), n), dtype=np.int8)
+                    for block, done in enumerate(range(0, trials, chunk))]
+                assert np.array_equal(np.concatenate(slices), np.concatenate(reference))
+    assert cut == {1, 7, 37, 999, 1000}
 
 
 def traced_peak(run) -> int:
@@ -557,11 +619,12 @@ def test_walk_deviation_unbounded_ratio():
 
 
 def test_walk_budget_in_bytes(monkeypatch):
-    # a slice of 260 walks of 1000 steps: int32 positions and an int8 draw,
-    # 5 bytes per step, checked before anything is allocated
-    need = 260 * 1000 * 5
+    # a slice of 256 walks of 1000 steps (a multiple of 8 rows): int32
+    # positions and the bytes of its raw words, 5 bytes per step, checked
+    # before anything is allocated
+    need = 256 * 1000 * 5
     monkeypatch.setattr(montecarlo, "MAX_TRIAL_BYTES", need - 1)
-    with pytest.raises(cc.TrialBudgetError, match=f"260 walks of 1000 steps need {need} bytes"):
+    with pytest.raises(cc.TrialBudgetError, match=f"256 walks of 1000 steps need {need} bytes"):
         cc.walk_deviation_check(1000, 3, 20000, seed=2)
     monkeypatch.setattr(montecarlo, "MAX_TRIAL_BYTES", need)
     assert cc.walk_deviation_check(1000, 3, 20000, seed=2) == 0.0
@@ -576,12 +639,20 @@ def test_walk_budget_in_bytes(monkeypatch):
 PIECE_TRIALS, PIECE_BYTES = 1024, 256 * 1024
 
 
-@pytest.mark.parametrize("run", ["random-cops-uniform", "random-cops-greedy-start", "drunk-fixed"])
-def test_simulation_memory_in_bytes(monkeypatch, run):
+@pytest.mark.parametrize("run,direct", [("random-cops-uniform", False),
+                                        ("random-cops-uniform", True),
+                                        ("random-cops-greedy-start", False),
+                                        ("drunk-fixed", False), ("drunk-fixed", True)],
+                         ids=["random-cops-uniform", "random-cops-uniform-direct",
+                              "random-cops-greedy-start", "drunk-fixed", "drunk-fixed-direct"])
+def test_simulation_memory_in_bytes(monkeypatch, run, direct):
     # the per-trial state is compact int32 plus the capture times, and every
     # other array is one piece of trials long: whole-population draws,
-    # gathers or (vertices x trials) distance tables would exceed the bound
+    # gathers or (vertices x trials) distance tables would exceed the bound.
+    # Words computed directly are computed a piece of running trials at a
+    # time, so forced on in every round they stay within the bound too
     monkeypatch.setattr(montecarlo, "_PIECE_TRIALS", PIECE_TRIALS)
+    force_direct(monkeypatch, direct)
     trials = 20000
     grid, path = cc.grid(10), cc.path(200)
     grid._neighbor_table(closed=True)

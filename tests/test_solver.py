@@ -640,3 +640,35 @@ def test_optimal_start_ignores_rounding_gaps():
         table = cc.ValueTable("drunk", 1, [(0,), (1,)], values)
         sol = cc.DrunkSolution(table, None, stats, "jacobi")
         assert sol.optimal_start() == (start, values[1, 0])
+
+
+def relabeled(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return cc.relabel(g, perm)
+
+
+DEGREE_2_SMEARS = [("P200 full", relabeled(cc.path(200), 1), 1, False),
+                   ("P40 k=2 full", relabeled(cc.path(40), 2), 2, False),
+                   ("C120 k=2 quotient", cc.cycle(120), 2, True),
+                   ("C60 k=3 quotient", cc.cycle(60), 3, True),
+                   ("C31 k=2 relabeled quotient", relabeled(cc.cycle(31), 3), 2, True)]
+
+
+@pytest.mark.parametrize("name,g,k,symmetric", DEGREE_2_SMEARS,
+                         ids=[c[0] for c in DEGREE_2_SMEARS])
+def test_degree_2_smear_gathers_as_the_product_sums(name, g, k, symmetric):
+    # twin-free spaces whose robber has at most 2 neighbours smear by the
+    # gather-add: weights 1 and 1/2 make every product exact, so the sum of
+    # one or two terms is the BLAS product's bit for bit, on any table
+    space = _StateSpace(g, k, math.inf, symmetric=symmetric)
+    assert space.gathers and not space.twins.lumps
+    solved = solver._drunk_table(g, k, solver.SolveOptions(), math.inf, symmetric)[1]
+    rng = np.random.default_rng(5)
+    for C in (solved, rng.random(space.shape) * 100, rng.random(space.shape)):
+        gathered = solver._smeared(space, C, np.empty_like(C), np.empty_like(C))
+        product = np.matmul(C, space.walk.T)
+        product.reshape(-1)[space.occupied_at] = 0.0
+        assert np.array_equal(gathered, product)
+    # degree 3 and more keep the product
+    assert not _StateSpace(cc.grid(4), 1, math.inf).gathers
