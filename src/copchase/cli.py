@@ -109,6 +109,8 @@ def _opts(args) -> SolveOptions:
 
 
 def _fmt(value, digits: int) -> str:
+    if isinstance(value, list):
+        return " ".join(_fmt(v, digits) for v in value)
     if isinstance(value, float):
         if math.isinf(value):
             return "inf"
@@ -118,6 +120,8 @@ def _fmt(value, digits: int) -> str:
 
 def _jsonable(value, digits: int):
     if isinstance(value, float):
+        if math.isnan(value):
+            return None
         if math.isinf(value):
             return "inf"
         if value == int(value) and abs(value) < 2**53:
@@ -126,22 +130,25 @@ def _jsonable(value, digits: int):
     return value
 
 
-def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload))
+def _emit(args, payload: dict, labels: dict) -> None:
+    """Print a command's answer, one dict of raw values, at --exact-digits:
+    under --json the whole dict as one object, else a `label: value` line
+    for each key that `labels` names, in its order, whose value is not None."""
+    digits = args.exact_digits
+    if args.json:
+        print(json.dumps({key: _jsonable(value, digits) for key, value in payload.items()}))
+        return
+    for key, label in labels.items():
+        if payload[key] is not None:
+            print(f"{label}: {_fmt(payload[key], digits)}")
 
 
 def _cmd_ct(args) -> int:
     g = _build_graph(args)
     start, value = _adversarial_start(g, args.k, _state_cap(args))
-    digits = args.exact_digits
-    start = None if math.isinf(value) else list(start)
-    if args.json:
-        _emit_json({"command": "ct", "n": g.n, "k": args.k,
-                    "value": _jsonable(value, digits), "start": start})
-    else:
-        print(f"capture time: {_fmt(value, digits)}")
-        if start is not None:
-            print("optimal start: " + " ".join(str(v) for v in start))
+    _emit(args, {"command": "ct", "n": g.n, "k": args.k, "value": value,
+                 "start": None if math.isinf(value) else list(start)},
+          {"value": "capture time", "start": "optimal start"})
     return EXIT_INFINITE if math.isinf(value) else EXIT_OK
 
 
@@ -149,61 +156,40 @@ def _cmd_dct(args) -> int:
     g = _build_graph(args)
     opts = _opts(args)
     start, value, stats = _drunk_start(g, args.k, opts, _state_cap(args))
-    digits = args.exact_digits
-    if args.json:
-        _emit_json({"command": "dct", "n": g.n, "k": args.k,
-                    "value": _jsonable(value, digits), "start": list(start),
-                    "sweeps": stats.sweeps, "scheme": opts.scheme})
-    else:
-        print(f"expected capture time: {_fmt(value, digits)}")
-        print("optimal start: " + " ".join(str(v) for v in start))
-        print(f"sweeps: {stats.sweeps}")
+    _emit(args, {"command": "dct", "n": g.n, "k": args.k, "value": value, "start": list(start),
+                 "sweeps": stats.sweeps, "scheme": opts.scheme},
+          {"value": "expected capture time", "start": "optimal start", "sweeps": "sweeps"})
     return EXIT_OK
 
 
 def _cmd_cod(args) -> int:
     g = _build_graph(args)
     report = drunkenness_report(g, _opts(args), args.max_cops, _state_cap(args))
-    digits = args.exact_digits
-    if args.json:
-        _emit_json({"command": "cod", "n": g.n, "cops": report.cops,
-                    "ct": _jsonable(report.capture_time, digits),
-                    "dct": _jsonable(report.drunk_capture_time, digits),
-                    "F": _jsonable(report.ratio, digits)})
-    else:
-        print(f"cops: {report.cops}")
-        print(f"capture time: {_fmt(report.capture_time, digits)}")
-        print(f"drunk capture time: {_fmt(report.drunk_capture_time, digits)}")
-        print(f"cost of drunkenness: {_fmt(report.ratio, digits)}")
+    _emit(args, {"command": "cod", "n": g.n, "cops": report.cops, "ct": report.capture_time,
+                 "dct": report.drunk_capture_time, "F": report.ratio},
+          {"cops": "cops", "ct": "capture time", "dct": "drunk capture time",
+           "F": "cost of drunkenness"})
     return EXIT_OK
 
 
 def _cmd_eval_strategy(args) -> int:
     g = _build_graph(args)
     strategy = read_strategy(args.strategy)
-    digits = args.exact_digits
     if args.mode == "adversarial":
-        value = adversarial_survival_time(g, strategy)
-        if args.json:
-            _emit_json({"command": "eval-strategy", "mode": "adversarial",
-                        "value": _jsonable(float(value), digits)})
-        else:
-            print(f"survival time: {_fmt(float(value), digits)}")
+        value = float(adversarial_survival_time(g, strategy))
+        _emit(args, {"command": "eval-strategy", "mode": "adversarial", "value": value},
+              {"value": "survival time"})
         return EXIT_INFINITE if math.isinf(value) else EXIT_OK
     dist = fixed_strategy_capture_distribution(g, strategy, args.max_rounds)
-    value = dist.expected_time()
     if args.csv:
         out = io.StringIO()
         dist.to_csv(out)
         sys.stdout.write(out.getvalue())
-    elif args.json:
-        _emit_json({"command": "eval-strategy", "mode": "drunk",
-                    "value": _jsonable(value, digits),
-                    "residual": _jsonable(dist.residual, digits),
-                    "rounds": dist.rounds, "terminated": dist.terminated})
     else:
-        print(f"expected capture time: {_fmt(value, digits)}")
-        print(f"residual: {_fmt(dist.residual, digits)}")
+        _emit(args, {"command": "eval-strategy", "mode": "drunk", "value": dist.expected_time(),
+                     "residual": dist.residual, "rounds": dist.rounds,
+                     "terminated": dist.terminated},
+              {"value": "expected capture time", "residual": "residual"})
     if not dist.terminated:
         print(f"nonterminating strategy: residual {dist.residual:.3g} "
               f"after {dist.rounds} rounds", file=sys.stderr)
@@ -262,17 +248,13 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    digits = args.exact_digits
     if args.mode == "walk":
         if args.n is None or args.c is None:
             raise GraphError("walk mode requires --n and --c")
         exceedance = montecarlo.walk_deviation_check(args.n, args.c, args.trials, args.seed)
-        if args.json:
-            _emit_json({"command": "simulate", "mode": "walk",
-                        "exceedance": _jsonable(float(exceedance), digits),
-                        "trials": args.trials, "seed": args.seed})
-        else:
-            print(f"exceedance: {_fmt(float(exceedance), digits)}")
+        _emit(args, {"command": "simulate", "mode": "walk", "exceedance": float(exceedance),
+                     "trials": args.trials, "seed": args.seed},
+              {"exceedance": "exceedance"})
         return EXIT_OK
     # a feedback policy's configuration is the drunk mode's one cop column
     montecarlo.check_trials(args.trials, args.k if args.mode == "random-cops" else 1)
@@ -291,18 +273,11 @@ def _cmd_simulate(args) -> int:
         evader = {"greedy": "max-distance-greedy", "uniform": "uniform-random"}[args.evader]
         report = montecarlo.simulate_random_cops(
             g, args.k, evader, args.trials, args.seed, max_rounds=args.max_rounds)
-    if args.json:
-        payload = {"command": "simulate", "mode": args.mode}
-        payload.update(report.to_dict())
-        payload["mean"] = _jsonable(payload["mean"], digits)
-        payload["stderr"] = _jsonable(payload["stderr"], digits)
-        _emit_json(payload)
-    else:
-        print(f"trials: {report.trials}")
-        print(f"mean capture time: {_fmt(report.mean, digits)}")
-        print(f"standard error: {_fmt(report.stderr, digits)}")
-        print(f"max observed: {report.max_observed}")
-        print(f"censored: {report.censored}")
+    # raw mean and stderr: NaN (all trials censored) prints nan, or null in JSON
+    _emit(args, {"command": "simulate", "mode": args.mode, **report.to_dict(),
+                 "mean": report.mean, "stderr": report.stderr},
+          {"trials": "trials", "mean": "mean capture time", "stderr": "standard error",
+           "max": "max observed", "censored": "censored"})
     return EXIT_OK
 
 

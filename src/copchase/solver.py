@@ -57,8 +57,8 @@ class SolveOptions:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        if not self.tolerance > 0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
+        if not 0 < self.tolerance < math.inf:
+            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be at least 1")
 
@@ -289,8 +289,10 @@ class _StateSpace:
     def capturable(self):
         """Flat indices of the free states where a cop can step onto the
         robber, whose value is 1 (a cop step onto a class's free member ends
-        the game, which a class column does not record; where classes are
-        vertices the successor tables record it too)."""
+        the game, which a class column does not record). Empty where classes
+        are vertices: there the successor tables record that step."""
+        if not self.twins.lumps:
+            return np.empty(0, dtype=np.intp)
         return self.twins.capturable(np.array(self.configs), self.occupied)
 
     @functools.cached_property

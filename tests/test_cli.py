@@ -317,13 +317,16 @@ def test_simulate_json(capsys, schema):
     assert payload["exceedance"] == 0
 
 
+# two 5-cycles joined by a path: one cop at random never catches the greedy
+# robber within 50 rounds, so there is no mean to report
+TWO_CYCLES = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (4, 5), (5, 6), (6, 7),
+              (7, 8), (8, 9), (9, 10), (10, 11), (7, 11)]
+TWO_CYCLES_TEXT = f"12 {len(TWO_CYCLES)}\n" + "".join(f"{u} {v}\n" for u, v in TWO_CYCLES)
+
+
 def test_simulate_json_all_censored(capsys, tmp_path, schema):
-    # two 5-cycles joined by a path: one cop at random never catches the
-    # greedy robber within 50 rounds, so there is no mean to report
     graph = tmp_path / "two_cycles.txt"
-    edges = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (4, 5), (5, 6), (6, 7),
-             (7, 8), (8, 9), (9, 10), (10, 11), (7, 11)]
-    graph.write_text(f"12 {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    graph.write_text(TWO_CYCLES_TEXT)
     code, out, err = run_cli(capsys, "simulate", "--file", str(graph), "--mode", "random-cops",
                              "--k", "1", "--evader", "greedy", "--trials", "300",
                              "--seed", "7", "--max-rounds", "50", "--json")
@@ -423,6 +426,81 @@ def test_exact_digits(capsys):
                            "--exact-digits", "12")
     assert code == 0
     assert "0.666666666667" in out
+
+
+# Every text form as the per-command print lines wrote it: label order,
+# labels, digits, list spacing, nan and inf, and the exit codes.
+# {sweep}, {stay} and {two_cycles} name input files.
+PINNED_TEXT = {
+    "ct": (["ct", "--family", "path", "--n", "9"], 0,
+           "capture time: 4\noptimal start: 4\n"),
+    "ct-two-cops": (["ct", "--family", "cycle", "--n", "12", "--k", "2"], 0,
+                    "capture time: 3\noptimal start: 0 5\n"),
+    "ct-infinite": (["ct", "--family", "cycle", "--n", "4"], 5, "capture time: inf\n"),
+    "dct": (["dct", "--family", "cycle", "--n", "9"], 0,
+            "expected capture time: 2.22222\noptimal start: 0\nsweeps: 40\n"),
+    "cod": (["cod", "--family", "lollipop", "--n", "12", "--c", "0.5"], 0,
+            "cops: 1\ncapture time: 6\ndrunk capture time: 3.299\n"
+            "cost of drunkenness: 1.81874\n"),
+    "eval-drunk": (["eval-strategy", "--family", "path", "--n", "5", "--strategy", "{sweep}"], 0,
+                   "expected capture time: 1.55\nresidual: 0\n"),
+    "eval-adversarial": (["eval-strategy", "--family", "path", "--n", "5", "--strategy",
+                          "{sweep}", "--mode", "adversarial"], 0, "survival time: 4\n"),
+    "eval-adversarial-infinite": (["eval-strategy", "--family", "cycle", "--n", "4",
+                                   "--strategy", "{stay}", "--mode", "adversarial"], 5,
+                                  "survival time: inf\n"),
+    "eval-nonterminating": (["eval-strategy", "--family", "path", "--n", "6", "--strategy",
+                             "{stay}", "--max-rounds", "2"], 4,
+                            "expected capture time: 0.166667\nresidual: 0.708333\n"),
+    "simulate-drunk": (["simulate", "--family", "path", "--n", "6", "--mode", "drunk",
+                        "--trials", "2000", "--seed", "7"], 0,
+                       "trials: 2000\nmean capture time: 1.072\nstandard error: 0.0143531\n"
+                       "max observed: 2\ncensored: 0\n"),
+    "simulate-random-cops": (["simulate", "--family", "grid", "--n", "4", "--mode",
+                              "random-cops", "--evader", "uniform", "--trials", "500",
+                              "--seed", "3"], 0,
+                             "trials: 500\nmean capture time: 13.692\n"
+                             "standard error: 0.64789\nmax observed: 106\ncensored: 0\n"),
+    "simulate-walk": (["simulate", "--mode", "walk", "--n", "10", "--c", "2.05", "--trials",
+                       "2000", "--seed", "3"], 0, "exceedance: 0.0035\n"),
+    "simulate-all-censored": (["simulate", "--file", "{two_cycles}", "--mode", "random-cops",
+                               "--trials", "300", "--seed", "7", "--max-rounds", "50"], 0,
+                              "trials: 300\nmean capture time: nan\nstandard error: nan\n"
+                              "max observed: 0\ncensored: 300\n"),
+    "exact-digits-12": (["dct", "--family", "path", "--n", "3", "--exact-digits", "12"], 0,
+                        "expected capture time: 0.666666666667\noptimal start: 0\n"
+                        "sweeps: 2\n"),
+}
+
+
+@pytest.mark.parametrize("form", PINNED_TEXT)
+def test_text_output_is_pinned(capsys, tmp_path, form):
+    files = {"sweep": "0\n1\n2\n3\n4\n", "stay": "0\n", "two_cycles": TWO_CYCLES_TEXT}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv, expected_code, expected_out = PINNED_TEXT[form]
+    argv = [a.format(**{name: str(tmp_path / name) for name in files}) for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (expected_code, expected_out)
+    if form == "eval-nonterminating":
+        assert err == "nonterminating strategy: residual 0.708 after 2 rounds\n"
+    else:
+        assert err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["dct", "--family", "path", "--n", "20", "--tolerance", "inf"],
+    ["dct", "--family", "path", "--n", "20", "--tolerance", "1e400", "--json"],
+    ["dct", "--family", "path", "--n", "20", "--tolerance", "nan"],
+    ["cod", "--family", "path", "--n", "20", "--tolerance", "inf"],
+    ["sweep", "--family", "path", "--n-list", "5,20", "--tolerance", "inf"],
+    ["simulate", "--family", "path", "--n", "5", "--mode", "drunk", "--tolerance", "inf"]],
+    ids=["dct", "dct-1e400", "dct-nan", "cod", "sweep", "simulate"])
+def test_non_finite_tolerance_exits_2(capsys, argv):
+    # an infinite tolerance would pass the convergence test after one sweep
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: tolerance must be positive and finite") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [

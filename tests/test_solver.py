@@ -298,8 +298,12 @@ def test_solve_options_validation():
     assert cc.SolveOptions().scheme == "jacobi"
     with pytest.raises(ValueError):
         cc.SolveOptions(scheme="sor")
-    with pytest.raises(ValueError):
-        cc.SolveOptions(tolerance=0)
+    policy = cc.solve_drunk(cc.path(3), 1).policy
+    for tolerance in (0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            cc.SolveOptions(tolerance=tolerance)
+        with pytest.raises(ValueError):
+            cc.policy_value(cc.path(3), policy, tolerance=tolerance)
     with pytest.raises(ValueError):
         cc.SolveOptions(max_sweeps=0)
 
@@ -388,17 +392,18 @@ def twin_free_graphs():
 @pytest.mark.parametrize("symmetric", [False, True], ids=["full", "quotient"])
 def test_capturable_states_hold_1_without_the_seed(g, k, symmetric):
     # where every class is one vertex the successor slots record a cop's
-    # step onto the robber, so the capturable states reach 1 without being
-    # set: the seed in the retrograde pass and the Jacobi step is a no-op
+    # step onto the robber, so the space lists no capturable states to seed
+    # at 1 and the tables hold 1 there all the same; a seed changes nothing
+    space = _StateSpace(g, k, math.inf, symmetric)
+    capturable = space.twins.capturable(np.array(space.configs), space.occupied)
+    assert not space.twins.lumps and len(capturable) and not len(space.capturable)
     seeded = _StateSpace(g, k, math.inf, symmetric)
-    assert not seeded.twins.lumps and len(seeded.capturable)
-    unseeded = _StateSpace(g, k, math.inf, symmetric)
-    unseeded.capturable = seeded.capturable[:0]  # the cached property, emptied
-    for solve in (lambda space: solver._retrograde(space)[0],
-                  lambda space: solver._drunk_jacobi(space, cc.SolveOptions())[0]):
-        table = solve(unseeded)
-        assert np.all(table.reshape(-1)[seeded.capturable] == 1.0)
-        assert np.array_equal(table, solve(seeded))
+    seeded.capturable = capturable  # the cached property, as where classes lump
+    for solve in (solver._retrograde,
+                  lambda unsolved: solver._drunk_jacobi(unsolved, cc.SolveOptions())):
+        (table, count), (seeded_table, seeded_count) = solve(space), solve(seeded)
+        assert np.all(table.reshape(-1)[capturable] == 1.0)
+        assert np.array_equal(table, seeded_table) and count == seeded_count
 
 
 @pytest.mark.parametrize("g,listed", [
