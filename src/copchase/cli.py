@@ -4,8 +4,8 @@ drunkenness, strategy evaluation, parameter sweeps, and simulations."""
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import json
 import math
 import os
@@ -47,37 +47,17 @@ _FAMILY_ALIASES = {"tree": "complete-tree"}
 SWEEP_COLUMNS = ["family", "n", "c", "k", "ct", "dct", "F", "sweeps", "wall_time_s", "error"]
 
 
-def _add_graph_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", choices=["path", "cycle", "tree", "grid", "barbell", "lollipop"])
-    p.add_argument("--file", help="edge-list file (first line 'n m', then 'u v' lines)")
-    p.add_argument("--n", type=int)
-    p.add_argument("--c", type=float)
-    p.add_argument("--d", type=int)
-    p.add_argument("--depth", type=int)
-
-
 def _nonnegative_int(raw: str) -> int:
     if not raw.isdecimal():  # no sign, so no negative value
         raise argparse.ArgumentTypeError(f"invalid non-negative int value: {raw!r}")
     return int(raw)
 
 
-def _add_output_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--json", action="store_true", help="emit a JSON object")
-    p.add_argument("--exact-digits", type=_nonnegative_int, default=6,
-                   help="significant digits for numeric output (default 6)")
-
-
-def _add_solver_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--scheme", choices=["jacobi", "gauss-seidel"], default="jacobi",
-                   help="drunk value-iteration scheme (default jacobi), read by dct, "
-                        "cod, sweep and simulate --mode drunk; ct ignores it. jacobi "
-                        "solves dct, cod and sweep on the graph's symmetry quotient; "
-                        "gauss-seidel updates rows in place on the full state space")
-    p.add_argument("--tolerance", type=float, default=1e-10)
-    p.add_argument("--max-sweeps", type=int, default=10**6)
-    p.add_argument("--state-cap", type=int, default=None,
-                   help=f"state-count cap (default {DEFAULT_STATE_CAP}, or ${STATE_CAP_ENV})")
+def _positive_int(raw: str) -> int:
+    with contextlib.suppress(ValueError):
+        if (value := int(raw)) > 0:
+            return value
+    raise argparse.ArgumentTypeError(f"invalid positive int value: {raw!r}")
 
 
 def _build_graph(args) -> Graph:
@@ -124,9 +104,8 @@ def _jsonable(value, digits: int):
             return None
         if math.isinf(value):
             return "inf"
-        if value == int(value) and abs(value) < 2**53:
-            return int(value)
-        return float(f"{value:.{digits}g}")
+        value = float(f"{value:.{digits}g}")
+        return int(value) if value.is_integer() and abs(value) < 2**53 else value
     return value
 
 
@@ -182,9 +161,7 @@ def _cmd_eval_strategy(args) -> int:
         return EXIT_INFINITE if math.isinf(value) else EXIT_OK
     dist = fixed_strategy_capture_distribution(g, strategy, args.max_rounds)
     if args.csv:
-        out = io.StringIO()
-        dist.to_csv(out)
-        sys.stdout.write(out.getvalue())
+        dist.to_csv(sys.stdout)
     else:
         _emit(args, {"command": "eval-strategy", "mode": "drunk", "value": dist.expected_time(),
                      "residual": dist.residual, "rounds": dist.rounds,
@@ -197,9 +174,7 @@ def _cmd_eval_strategy(args) -> int:
     return EXIT_OK
 
 
-def _parse_list(raw: str | None, cast):
-    if raw is None:
-        return [None]
+def _parse_list(raw: str, cast) -> list:
     values = [cast(tok) for tok in raw.split(",") if tok.strip()]
     if not values:
         raise GraphError(f"empty parameter list {raw!r}")
@@ -217,9 +192,8 @@ def _cmd_sweep(args) -> int:
     rows = []
     for n in n_values:
         for c in c_values:
-            row = {"family": args.family, "n": n, "c": c, "k": args.k,
-                   "ct": "", "dct": "", "F": "", "sweeps": "", "wall_time_s": "",
-                   "error": ""}
+            row = {**dict.fromkeys(SWEEP_COLUMNS, ""), "family": args.family, "n": n, "c": c,
+                   "k": args.k}
             t0 = time.perf_counter()
             try:
                 g = FamilySpec(family=family, n=n, c=c, d=args.d, depth=args.depth).build()
@@ -235,15 +209,11 @@ def _cmd_sweep(args) -> int:
                 row["error"] = str(exc)
             row["wall_time_s"] = f"{time.perf_counter() - t0:.3f}"
             rows.append(row)
-    sink = open(args.output, "w", newline="", encoding="utf-8") if args.output else sys.stdout
-    try:
+    with (open(args.output, "w", newline="", encoding="utf-8") if args.output
+          else contextlib.nullcontext(sys.stdout)) as sink:
         writer = csv.DictWriter(sink, fieldnames=SWEEP_COLUMNS)
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
-    finally:
-        if args.output:
-            sink.close()
+        writer.writerows(rows)
     return EXIT_OK
 
 
@@ -281,65 +251,74 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _parent(*flags: str, parents=(), **spec) -> argparse.ArgumentParser:
+    """An option group for subcommands to list among their parents: the
+    options of `parents`, then `add_argument(*flags, **spec)`."""
+    group = argparse.ArgumentParser(add_help=False, parents=list(parents))
+    group.add_argument(*flags, **spec)
+    return group
+
+
 def build_parser() -> argparse.ArgumentParser:
+    family = _parent("--family", choices=["path", "cycle", "tree", "grid", "barbell", "lollipop"])
+    family.add_argument("--n", type=int)
+    family.add_argument("--c", type=float)
+    family.add_argument("--d", type=int)
+    family.add_argument("--depth", type=int)
+    graph = _parent("--file", parents=[family],
+                    help="edge-list file (first line 'n m', then 'u v' lines)")
+    digits = _parent("--exact-digits", type=_nonnegative_int, default=6,
+                     help="significant digits for numeric output (default 6)")
+    output = _parent("--json", parents=[digits], action="store_true", help="emit a JSON object")
+    cap = _parent("--state-cap", type=int, default=None,
+                  help=f"state-count cap (default {DEFAULT_STATE_CAP}, or ${STATE_CAP_ENV})")
+    drunk = _parent("--scheme", choices=["jacobi", "gauss-seidel"], default="jacobi",
+                    help="drunk value-iteration scheme (default jacobi), read by dct, cod, "
+                         "sweep and simulate --mode drunk. jacobi solves dct, cod and sweep "
+                         "on the graph's symmetry quotient; gauss-seidel updates rows in "
+                         "place on the full state space")
+    drunk.add_argument("--tolerance", type=float, default=1e-10)
+    drunk.add_argument("--max-sweeps", type=int, default=10**6)
+    cops = _parent("--k", type=int, default=1)
+    max_cops = _parent("--max-cops", type=_positive_int, default=3)
+    max_rounds = _parent("--max-rounds", type=_nonnegative_int, default=None)
+
     parser = argparse.ArgumentParser(
         prog="copchase",
         description="capture times, drunk capture times, and cost of drunkenness "
                     "for pursuit games on graphs")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ct", help="adversarial capture time")
-    _add_graph_args(p)
-    _add_output_args(p)
-    _add_solver_args(p)
-    p.add_argument("--k", type=int, default=1)
+    p = sub.add_parser("ct", parents=[graph, output, cap, cops], help="adversarial capture time")
     p.set_defaults(func=_cmd_ct)
-
-    p = sub.add_parser("dct", help="expected capture time against the drunk robber")
-    _add_graph_args(p)
-    _add_output_args(p)
-    _add_solver_args(p)
-    p.add_argument("--k", type=int, default=1)
+    p = sub.add_parser("dct", parents=[graph, output, drunk, cap, cops],
+                       help="expected capture time against the drunk robber")
     p.set_defaults(func=_cmd_dct)
-
-    p = sub.add_parser("cod", help="cost of drunkenness at the cop number")
-    _add_graph_args(p)
-    _add_output_args(p)
-    _add_solver_args(p)
-    p.add_argument("--max-cops", type=int, default=3)
+    p = sub.add_parser("cod", parents=[graph, output, drunk, cap, max_cops],
+                       help="cost of drunkenness at the cop number")
     p.set_defaults(func=_cmd_cod)
 
-    p = sub.add_parser("eval-strategy", help="evaluate a fixed cop strategy")
-    _add_graph_args(p)
-    _add_output_args(p)
+    p = sub.add_parser("eval-strategy", parents=[graph, output, max_rounds],
+                       help="evaluate a fixed cop strategy")
     p.add_argument("--strategy", required=True, help="strategy file, one configuration per line")
     p.add_argument("--mode", choices=["drunk", "adversarial"], default="drunk")
-    p.add_argument("--max-rounds", type=_nonnegative_int, default=None)
     p.add_argument("--csv", action="store_true", help="emit the capture distribution as CSV")
     p.set_defaults(func=_cmd_eval_strategy)
 
-    p = sub.add_parser("sweep", help="CSV table of ct/dct/F over parameter ranges")
-    _add_graph_args(p)
-    _add_output_args(p)
-    _add_solver_args(p)
+    p = sub.add_parser("sweep", parents=[family, digits, drunk, cap, max_cops],
+                       help="CSV table of ct/dct/F over parameter ranges")
     p.add_argument("--n-list", help="comma-separated n values")
     p.add_argument("--c-list", help="comma-separated c values")
     p.add_argument("--k", type=int, default=0, help="cop count; 0 detects the cop number")
-    p.add_argument("--max-cops", type=int, default=3)
     p.add_argument("--output", help="CSV output path (default: stdout)")
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("simulate", help="Monte Carlo runs")
-    _add_graph_args(p)
-    _add_output_args(p)
-    _add_solver_args(p)
+    p = sub.add_parser("simulate", parents=[graph, output, drunk, cap, cops, max_rounds],
+                       help="Monte Carlo runs")
     p.add_argument("--mode", choices=["drunk", "random-cops", "walk"], required=True)
-    p.add_argument("--k", type=int, default=1)
     p.add_argument("--evader", choices=["greedy", "uniform"], default="greedy")
     p.add_argument("--strategy", help="fixed strategy file (drunk mode)")
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-rounds", type=_nonnegative_int, default=None)
     p.set_defaults(func=_cmd_simulate)
     return parser
 

@@ -186,14 +186,19 @@ def _uniform_entries(rows: tuple, at: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def _settle(T: np.ndarray, t: int, caught: np.ndarray, alive: np.ndarray,
             state: list) -> np.ndarray:
-    """Give the caught running trials capture time t, compact the list of
-    state arrays in place to the trials still running, and return alive
-    compacted alike."""
+    """Give the caught running trials capture time t, compact alive and
+    each state array to the trials still running, and return alive so
+    compacted. Each array is compacted into the front of its own buffer, so
+    rounds allocate no state arrays: the heap does not churn with them."""
     if caught.any():
         T[alive[caught]] = t
         keep = ~caught
-        alive = alive[keep]
-        state[:] = [s[keep] for s in state]
+        m = int(np.count_nonzero(keep))
+        alive[:m] = alive[keep]
+        alive = alive[:m]
+        for i, s in enumerate(state):
+            s[:m] = s[keep]
+            state[i] = s[:m]
     return alive
 
 
@@ -410,7 +415,7 @@ def simulate_random_cops(
         return caught
 
     caught, state = caught_by(cops, y), [*cops, y]
-    del cops, y  # `state` holds them, and compaction frees them
+    del cops, y  # `state` holds their only references, which compaction overwrites
     return _pursue(caught, state, max_rounds, seed.master, cop_step, robber_step)
 
 

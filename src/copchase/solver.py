@@ -206,7 +206,9 @@ class _StateSpace:
         rep_ranks = np.concatenate([f for f, _ in found])
         by_rank = np.argsort(rep_ranks, kind="stable")
         rep_ranks = rep_ranks[by_rank]
-        configs = list(map(tuple, np.concatenate([c for _, c in found])[by_rank].tolist()))
+        # under the trivial group the rows are the space's own list, in rank order
+        configs = (self.configs if len(group) == 1 else
+                   list(map(tuple, np.concatenate([c for _, c in found])[by_rank].tolist())))
         m = len(rep_ranks)
         row = np.searchsorted(rep_ranks, np.concatenate(rows))
         code = np.searchsorted(rep_ranks, np.concatenate(ranks))  # e * m + q: row q through e

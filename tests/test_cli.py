@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -10,7 +11,7 @@ import jsonschema
 import pytest
 
 import copchase as cc
-from copchase.cli import main
+from copchase.cli import build_parser, main
 
 
 @pytest.fixture(scope="module")
@@ -429,7 +430,8 @@ def test_exact_digits(capsys):
 
 
 # Every text form as the per-command print lines wrote it: label order,
-# labels, digits, list spacing, nan and inf, and the exit codes.
+# labels, digits, list spacing, nan and inf, and the exit codes; and the
+# JSON twin of a value that rounds to an integer, which prints as one.
 # {sweep}, {stay} and {two_cycles} name input files.
 PINNED_TEXT = {
     "ct": (["ct", "--family", "path", "--n", "9"], 0,
@@ -470,6 +472,12 @@ PINNED_TEXT = {
     "exact-digits-12": (["dct", "--family", "path", "--n", "3", "--exact-digits", "12"], 0,
                         "expected capture time: 0.666666666667\noptimal start: 0\n"
                         "sweeps: 2\n"),
+    "exact-digits-0": (["eval-strategy", "--family", "path", "--n", "5", "--strategy", "{sweep}",
+                        "--exact-digits", "0"], 0, "expected capture time: 2\nresidual: 0\n"),
+    "exact-digits-0-json": (["eval-strategy", "--family", "path", "--n", "5", "--strategy",
+                             "{sweep}", "--exact-digits", "0", "--json"], 0,
+                            '{"command": "eval-strategy", "mode": "drunk", "value": 2, '
+                            '"residual": 0, "rounds": 3, "terminated": true}\n'),
 }
 
 
@@ -505,11 +513,58 @@ def test_non_finite_tolerance_exits_2(capsys, argv):
 
 @pytest.mark.parametrize("argv", [
     ["dct", "--family", "path", "--n", "3", "--exact-digits", "-1"],
-    ["simulate", "--family", "path", "--n", "5", "--mode", "random-cops", "--max-rounds", "-1"]],
-    ids=["exact-digits", "max-rounds"])
+    ["simulate", "--family", "path", "--n", "5", "--mode", "random-cops", "--max-rounds", "-1"],
+    ["cod", "--family", "path", "--n", "5", "--max-cops", "0"],
+    ["cod", "--family", "path", "--n", "5", "--max-cops", "-2"],
+    ["sweep", "--family", "path", "--n-list", "5", "--max-cops", "0"]],
+    ids=["exact-digits", "max-rounds", "max-cops-0", "max-cops-negative", "sweep-max-cops-0"])
 def test_negative_counts_are_refused_at_parse_time(capsys, argv):
+    # a cop count must also be positive: no solve runs with 0 cops
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == "" and f"error: argument {argv[-2]}" in err
+    assert "Traceback" not in err
+
+
+# The options each subcommand reads, and no other
+SUBCOMMAND_OPTIONS = {
+    "ct": "--family --n --c --d --depth --file --json --exact-digits --state-cap --k",
+    "dct": "--family --n --c --d --depth --file --json --exact-digits --scheme --tolerance "
+           "--max-sweeps --state-cap --k",
+    "cod": "--family --n --c --d --depth --file --json --exact-digits --scheme --tolerance "
+           "--max-sweeps --state-cap --max-cops",
+    "eval-strategy": "--family --n --c --d --depth --file --json --exact-digits --strategy "
+                     "--mode --max-rounds --csv",
+    "sweep": "--family --n --c --d --depth --exact-digits --scheme --tolerance --max-sweeps "
+             "--state-cap --n-list --c-list --k --max-cops --output",
+    "simulate": "--family --n --c --d --depth --file --json --exact-digits --scheme "
+                "--tolerance --max-sweeps --state-cap --mode --k --evader --strategy --trials "
+                "--seed --max-rounds",
+}
+
+
+def test_each_subcommand_declares_the_options_it_reads():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(SUBCOMMAND_OPTIONS)
+    for name, p in sub.choices.items():
+        options = {s for action in p._actions for s in action.option_strings}
+        assert options == {"-h", "--help", *SUBCOMMAND_OPTIONS[name].split()}, name
+
+
+@pytest.mark.parametrize("argv", [
+    ["ct", "--family", "path", "--n", "5", "--scheme", "jacobi"],
+    ["ct", "--family", "path", "--n", "5", "--tolerance", "inf"],
+    ["ct", "--family", "path", "--n", "5", "--max-sweeps", "3"],
+    ["sweep", "--family", "path", "--n-list", "5", "--json"],
+    ["sweep", "--family", "path", "--n-list", "5", "--file", "x.edges"]],
+    ids=["ct-scheme", "ct-tolerance", "ct-max-sweeps", "sweep-json", "sweep-file"])
+def test_flags_a_command_would_ignore_are_refused(capsys, argv):
+    # ct runs no drunk iteration; sweep builds each row's graph from the
+    # family and always writes CSV
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("usage:") and "error: unrecognized arguments" in err
+    assert "Traceback" not in err
 
 
 def test_nonconvergence_exit(capsys):

@@ -673,6 +673,21 @@ def test_simulation_memory_in_bytes(monkeypatch, run, direct):
     assert traced_peak(simulate) <= PIECE_BYTES + montecarlo.trial_bytes(cop_columns) * trials
 
 
+def test_settle_compacts_each_array_into_its_own_buffer():
+    # rounds allocate no state arrays: the running trials move to the front
+    # of each array's own buffer, in order
+    rng = np.random.default_rng(3)
+    alive, state = np.arange(1000), [rng.integers(0, 50, 1000, dtype=np.int32) for _ in range(3)]
+    caught = rng.random(1000) < 0.3
+    buffers = [alive, *state]
+    expected = [b[~caught] for b in buffers]
+    T = np.full(1000, -1, dtype=np.int64)
+    alive = montecarlo._settle(T, 4, caught, alive, state)
+    for got, want, buf in zip([alive, *state], expected, buffers):
+        assert np.array_equal(got, want) and np.shares_memory(got, buf)
+    assert np.array_equal(np.flatnonzero(T == 4), np.flatnonzero(caught))
+
+
 def test_single_vertex_simulations():
     g = cc.path(1)
     rep = cc.simulate_drunk_pursuit(g, cc.FixedStrategy([(0,)]), 50, seed=1)

@@ -11,7 +11,8 @@ import copchase as cc
 from copchase import solver
 from copchase.solver import SweepStats, _drunk_start, _StateSpace
 
-from conftest import complete_graph, minimax_capture_value, random_connected_graph
+from conftest import (complete_graph, listed_successors, minimax_capture_value,
+                      random_connected_graph, slot_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +380,24 @@ def test_successor_slots_are_capped_as_the_search_lists_them():
     finally:
         tracemalloc.stop()
     assert peak < 8 * m * m  # under the int64 slots of every row
+
+
+@pytest.mark.parametrize("g,k,symmetric,layers,sweeps", [
+    (cc.grid(4), 2, False, 7, 6),
+    (cc.lollipop(12, 0.5), 2, False, 13, 13),
+    (cc.lollipop(12, 0.5), 2, True, 13, 13),
+    (random_connected_graph(42, 9), 2, True, 4, 5)],
+    ids=["G4k2 full", "L12k2 full", "L12k2 lumped", "rand9k2 quotient"])
+def test_trivial_group_search_keeps_the_one_configuration_list(g, k, symmetric, layers, sweeps):
+    # under the trivial group every row is known before the search, so the
+    # successor cache holds the space's own list, not a copy of it
+    space = _StateSpace(g, k, math.inf, symmetric=symmetric)
+    assert len(space.group) == 1
+    assert space._successors[0] is space.configs
+    assert [[(s, tuple(range(space.shape[1]))) for s in succ.tolist()]
+            for succ in slot_rows(space)] == listed_successors(space)
+    assert solver._retrograde(space)[1] == layers
+    assert solver._drunk_jacobi(space, cc.SolveOptions())[1].sweeps == sweeps
 
 
 def twin_free_graphs():
