@@ -47,17 +47,13 @@ _FAMILY_ALIASES = {"tree": "complete-tree"}
 SWEEP_COLUMNS = ["family", "n", "c", "k", "ct", "dct", "F", "sweeps", "wall_time_s", "error"]
 
 
-def _nonnegative_int(raw: str) -> int:
-    if not raw.isdecimal():  # no sign, so no negative value
-        raise argparse.ArgumentTypeError(f"invalid non-negative int value: {raw!r}")
-    return int(raw)
-
-
-def _positive_int(raw: str) -> int:
-    with contextlib.suppress(ValueError):
-        if (value := int(raw)) > 0:
-            return value
-    raise argparse.ArgumentTypeError(f"invalid positive int value: {raw!r}")
+def _int_at_least(low: int):  # an argparse type: int(raw), refused below low
+    def parse(raw: str) -> int:
+        with contextlib.suppress(ValueError):
+            if (value := int(raw)) >= low:
+                return value
+        raise argparse.ArgumentTypeError(f"invalid int value, at least {low}: {raw!r}")
+    return parse
 
 
 def _build_graph(args) -> Graph:
@@ -267,21 +263,20 @@ def build_parser() -> argparse.ArgumentParser:
     family.add_argument("--depth", type=int)
     graph = _parent("--file", parents=[family],
                     help="edge-list file (first line 'n m', then 'u v' lines)")
-    digits = _parent("--exact-digits", type=_nonnegative_int, default=6,
+    digits = _parent("--exact-digits", type=_int_at_least(0), default=6,
                      help="significant digits for numeric output (default 6)")
     output = _parent("--json", parents=[digits], action="store_true", help="emit a JSON object")
     cap = _parent("--state-cap", type=int, default=None,
                   help=f"state-count cap (default {DEFAULT_STATE_CAP}, or ${STATE_CAP_ENV})")
     drunk = _parent("--scheme", choices=["jacobi", "gauss-seidel"], default="jacobi",
                     help="drunk value-iteration scheme (default jacobi), read by dct, cod, "
-                         "sweep and simulate --mode drunk. jacobi solves dct, cod and sweep "
-                         "on the graph's symmetry quotient; gauss-seidel updates rows in "
-                         "place on the full state space")
+                         "sweep and simulate --mode drunk. Either scheme solves dct, cod and "
+                         "sweep on the graph's symmetry quotient, simulate on the full space")
     drunk.add_argument("--tolerance", type=float, default=1e-10)
     drunk.add_argument("--max-sweeps", type=int, default=10**6)
     cops = _parent("--k", type=int, default=1)
-    max_cops = _parent("--max-cops", type=_positive_int, default=3)
-    max_rounds = _parent("--max-rounds", type=_nonnegative_int, default=None)
+    max_cops = _parent("--max-cops", type=_int_at_least(1), default=3)
+    max_rounds = _parent("--max-rounds", type=_int_at_least(0), default=None)
 
     parser = argparse.ArgumentParser(
         prog="copchase",
@@ -289,20 +284,20 @@ def build_parser() -> argparse.ArgumentParser:
                     "for pursuit games on graphs")
     sub = parser.add_subparsers(dest="command", required=True)
     p = sub.add_parser("ct", parents=[graph, output, cap, cops], help="adversarial capture time")
-    p.set_defaults(func=_cmd_ct)
+    p.set_defaults(func=_cmd_ct, parser=p)
     p = sub.add_parser("dct", parents=[graph, output, drunk, cap, cops],
                        help="expected capture time against the drunk robber")
-    p.set_defaults(func=_cmd_dct)
+    p.set_defaults(func=_cmd_dct, parser=p)
     p = sub.add_parser("cod", parents=[graph, output, drunk, cap, max_cops],
                        help="cost of drunkenness at the cop number")
-    p.set_defaults(func=_cmd_cod)
+    p.set_defaults(func=_cmd_cod, parser=p)
 
     p = sub.add_parser("eval-strategy", parents=[graph, output, max_rounds],
                        help="evaluate a fixed cop strategy")
     p.add_argument("--strategy", required=True, help="strategy file, one configuration per line")
     p.add_argument("--mode", choices=["drunk", "adversarial"], default="drunk")
     p.add_argument("--csv", action="store_true", help="emit the capture distribution as CSV")
-    p.set_defaults(func=_cmd_eval_strategy)
+    p.set_defaults(func=_cmd_eval_strategy, parser=p)
 
     p = sub.add_parser("sweep", parents=[family, digits, drunk, cap, max_cops],
                        help="CSV table of ct/dct/F over parameter ranges")
@@ -310,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c-list", help="comma-separated c values")
     p.add_argument("--k", type=int, default=0, help="cop count; 0 detects the cop number")
     p.add_argument("--output", help="CSV output path (default: stdout)")
-    p.set_defaults(func=_cmd_sweep)
+    p.set_defaults(func=_cmd_sweep, parser=p)
 
     p = sub.add_parser("simulate", parents=[graph, output, drunk, cap, cops, max_rounds],
                        help="Monte Carlo runs")
@@ -319,14 +314,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", help="fixed strategy file (drunk mode)")
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_simulate)
+    p.set_defaults(func=_cmd_simulate, parser=p)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, unknown = parser.parse_known_args(argv)
+        if unknown:  # reported by the subcommand's parser, with its usage
+            args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

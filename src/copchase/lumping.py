@@ -113,7 +113,8 @@ class TwinColumns:
             row, cop = np.flatnonzero(keep) * columns, cop[keep]
             dst = flat[_ragged(start[cop], size[cop])]
             row, src = np.repeat(row, size[cop]), np.repeat(row + cop, size[cop])
-            corrections.append((row + dst, src, 1.0 / deg[dst]))
+            if len(dst):
+                corrections.append((row + dst, src, 1.0 / deg[dst]))
         return (cols, weight), corrections
 
     def smear(self, plan, C: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
@@ -124,15 +125,14 @@ class TwinColumns:
         a cop occupies, a rank-k correction."""
         (cols, weight), corrections = plan
         # mode="clip": with the default "raise", take fills `out` through a buffer
-        np.take(C, cols[0], axis=1, out=out, mode="clip")
+        C.take(cols[0], axis=1, out=out, mode="clip")
         out *= weight[0]
         for idx, w in zip(cols[1:], weight[1:]):
-            np.take(C, idx, axis=1, out=scratch, mode="clip")
+            C.take(idx, axis=1, out=scratch, mode="clip")
             scratch *= w
             out += scratch
-        flat, values = out.reshape(-1), C.reshape(-1)
         for dst, src, weight in corrections:  # distinct dst within a slot
-            flat[dst] -= values[src] * weight
+            out.reshape(-1)[dst] -= C.reshape(-1)[src] * weight
 
     def capturable(self, cfgs: np.ndarray, occupied: np.ndarray) -> np.ndarray:
         """Flat indices of the free states of the rows cfgs (occupied: their

@@ -1,9 +1,9 @@
 """Exact pursuit-game values: adversarial capture times via layered
 retrograde analysis of the minimax game, and expected capture times against
 the random-walking (drunk) robber via undiscounted value iteration, whose
-Jacobi and Gauss-Seidel schemes share one sweep loop. Scalar answers of
-both games run on the quotient by the graph's declared symmetry group and
-the swaps of twin vertices, with one robber column per twin class.
+Jacobi and Gauss-Seidel schemes share one sweep loop and one step. Scalar
+answers of both games run on the quotient by the graph's declared symmetry
+group and the swaps of twin vertices, with one robber column per twin class.
 
 States are pairs (cop configuration, robber vertex). Cop configurations are
 canonical sorted k-tuples: cops are interchangeable and may share a vertex.
@@ -11,7 +11,6 @@ canonical sorted k-tuples: cops are interchangeable and may share a vertex.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import math
@@ -80,12 +79,12 @@ class _StateSpace:
     only onto `steps[v]`, its closed neighbours among the first k of each class.
 
     The cap counts what a solve path holds: retrograde, rows x columns
-    (checked as rows are found); quotient Jacobi, (3m + P) x columns / 3 for
-    two tables and m + P stack rows (see `_drunk_jacobi`); the full space,
-    m x n, as its three tables count; and every path, the successor slots
-    of `slots`, counted as the search lists them. Up front it bounds
-    C(c+k-1, k) x c / (declared group order) for c columns, and by a table
-    at the cap the bytes the search marks and lists (see `_successors`).
+    (checked as rows are found); drunk solves, (3m + P) x columns / 3 for two
+    tables and the m + P rows of the `_stack` (m x n on the full space); and
+    every path, the successor slots of `slots`, counted as the search lists
+    them. Up front it bounds C(c+k-1, k) x c / (declared group order) for c
+    columns, and by a table at the cap the bytes the search marks and lists
+    (see `_successors`).
 
     Values are invariant under the group: if s maps a successor x' of a row
     onto the row r, the value at (x', y) is the value at (r, s(y)). So a
@@ -259,9 +258,9 @@ class _StateSpace:
     @functools.cached_property
     def walk(self) -> np.ndarray:
         """Cop-free robber walk matrix between the vertices, rows uniform
-        over N(v), for Gauss-Seidel and the smear of a space that does not
-        gather (see `gathers`). On one vertex the robber has no step and it
-        is the 1 x 1 zero; every state is occupied there."""
+        over N(v), for the smear of a space that does not gather (see
+        `gathers`). On one vertex the robber has no step and it is the
+        1 x 1 zero; every state is occupied there."""
         flat, _, deg = self.g._neighbor_table(closed=False)
         walk = np.zeros((self.n, self.n))
         walk[np.repeat(np.arange(self.n), deg), flat] = np.repeat(1.0 / np.maximum(deg, 1), deg)
@@ -269,12 +268,11 @@ class _StateSpace:
 
     @functools.cached_property
     def gathers(self) -> bool:
-        """Whether `_smeared` gathers by `TwinColumns.smear`, not by the
-        dense product with `walk`: where classes lump, and where the
-        robber's graph has maximum degree 1 or 2 (paths, cycles). There the
-        walk's weights are 1 and 1/2, so each product is exact and the
-        gather's sum of at most two terms equals the product bit for bit;
-        the BLAS product sums all n terms of a row."""
+        """Whether smears gather by `TwinColumns.smear`, not by products with
+        `walk`: where classes lump, and where the robber's graph has maximum
+        degree 1 or 2 (paths, cycles), whose weights 1 and 1/2 make each
+        product exact, so that the gather's sum of at most two terms equals
+        the BLAS product's sum of all n terms of a row bit for bit."""
         return self.twins.lumps or 0 < self.twins.robber._neighbor_table(closed=False)[2].max() <= 2
 
     @functools.cached_property
@@ -300,19 +298,17 @@ class _StateSpace:
     @functools.cached_property
     def levels(self) -> list[np.ndarray]:
         """Wavefront levels of the ascending row order: a row's level is one
-        more than the highest level among its lower-numbered successors, or 0
-        if it has none. The successor relation is symmetric (cops step on
-        closed neighbourhoods of an undirected graph), so lower-numbered
-        successors sit on lower levels, higher-numbered ones on higher
-        levels, and rows of one level are never successors of each other."""
+        more than the highest level among the lower-numbered rows its slots
+        read (see `reads`), or 0 if it reads none. Reads are symmetric (cops
+        step on closed neighbourhoods, so an orbit that x reads steps back
+        onto x's), so lower-numbered rows read sit on lower levels, higher
+        ones on higher levels, and no row reads another of its own level."""
         flat, start, size = self.slots
-        flat, level = flat.tolist(), []
+        read, level = self.reads[1][flat].tolist(), []
         for x, (lo, hi) in enumerate(zip(start.tolist(), (start + size).tolist())):
-            lower = bisect.bisect_left(flat, x, lo, hi)  # rows are sorted
-            level.append(1 + max(level[s] for s in flat[lo:lower]) if lower > lo else 0)
+            level.append(max([level[q] + 1 for q in read[lo:hi] if q < x], default=0))
         level = np.array(level, dtype=np.int64)
-        order = np.argsort(level, kind="stable")
-        return np.split(order, np.cumsum(np.bincount(level))[:-1])
+        return np.split(np.argsort(level, kind="stable"), np.cumsum(np.bincount(level))[:-1])
 
 
 # A group of rows in the successor min reads slices of the table, not
@@ -332,18 +328,24 @@ _RUN_ENTRIES = 1024
 _PIECE_ENTRIES = 2**14
 
 
-def _min_plan(flat: np.ndarray, start: np.ndarray, size: np.ndarray, columns: int):
+def _min_plan(flat: np.ndarray, start: np.ndarray, size: np.ndarray, shape: tuple[int, int]):
     """The plan of `_gathered_min` for lists laid end to end (see
-    `_StateSpace.slots`) over a table `columns` wide: per width class (widths
-    in [2^i, 2^(i+1))), the first row of each distinct list with the lists
-    padded to the class's widest, and the runs `_RUN_ENTRIES` allows, or
-    None; then the other rows, and the first row of their list. Equal lists
-    are equal padded rows (pads repeat an entry), found by one stable sort.
-    A run is a row, one list entry per column, and a length: the rows from
-    there on read the entries from there on."""
-    by_size = np.argsort(size, kind="stable")
+    `_StateSpace.slots`) over a table of this shape. Where the lists, padded
+    to the widest, hold no more rows than the table or the widest squared (a
+    Gauss-Seidel level), each width class (widths in [2^i, 2^(i+1))) is read
+    "whole", padded to its widest. Else per width class, the first row of each
+    distinct list, padded, and the runs `_RUN_ENTRIES` allows, or None; then
+    the other rows, and the first row of their list. Equal lists are equal
+    padded rows (pads repeat an entry), found by one stable sort. A run is a
+    row, one list entry per column, and a length: the rows from there on read
+    the entries from there on."""
+    (rows_read, columns), by_size = shape, np.argsort(size, kind="stable")
+    classes = np.split(by_size, np.flatnonzero(np.diff(np.frexp(size[by_size])[1])) + 1)
+    if len(size) * size.max() <= max(rows_read, size.max() ** 2):
+        return [(rows, _padded_flat(flat, start[rows], size[rows]), "whole")
+                for rows in classes], [], []
     groups, rest, src = [], [], []
-    for rows in np.split(by_size, np.flatnonzero(np.diff(np.frexp(size[by_size])[1])) + 1):
+    for rows in classes:
         lists = _padded_flat(flat, start[rows], size[rows])
         order = np.lexsort((*lists.T[::-1], size[rows]))  # the last key is the first
         head = np.concatenate(([True], np.diff(lists[order], axis=0).any(axis=1)))
@@ -365,6 +367,9 @@ def _gathered_min(plan, table: np.ndarray, out: np.ndarray) -> np.ndarray:
     `_min_plan`: once per distinct list, over its own entries."""
     groups, rest, src = plan
     for rows, lists, runs in groups:
+        if runs == "whole":  # one gather, where pieces would make a call per list entry
+            out[rows] = table[lists].min(axis=1)
+            continue
         if runs is None:
             step = max(1, _PIECE_ENTRIES // table.shape[1])
             for lo in range(0, len(rows), step):
@@ -380,7 +385,8 @@ def _gathered_min(plan, table: np.ndarray, out: np.ndarray) -> np.ndarray:
                        out=low)  # a list of one entry repeats it
             for r in reads[1:-1]:
                 np.minimum(low, table[r: r + length], out=low)
-    out[rest] = out[src]
+    if len(rest):
+        out[rest] = out[src]
     return out
 
 
@@ -664,11 +670,11 @@ def solve_drunk(
 
 def _drunk_table(g: Graph, k: int, opts: SolveOptions, state_cap: float, symmetric: bool = False):
     """The state space, drunk table and SweepStats of every drunk solve, by
-    `opts.scheme`. With `symmetric`, Jacobi runs on the quotient by the
-    graph's declared group and twin swaps (see `_StateSpace`); Gauss-Seidel
-    always runs on the full space. On one vertex the cops start on the
-    robber: the table is the 1 x 1 zero, and no sweep runs."""
-    space = _StateSpace(g, k, state_cap, symmetric and opts.scheme == "jacobi")
+    `opts.scheme`. With `symmetric` both schemes run on the quotient by the
+    graph's declared group and twin swaps (see `_StateSpace`), else on the
+    full space. On one vertex the cops start on the robber: the table is
+    the 1 x 1 zero, and no sweep runs."""
+    space = _StateSpace(g, k, state_cap, symmetric)
     if g.n == 1:
         return space, np.zeros((1, 1)), SweepStats(0, 0.0, 0.0, 0.0)
     solve = _drunk_jacobi if opts.scheme == "jacobi" else _drunk_gauss_seidel
@@ -695,21 +701,23 @@ def _smeared(space: _StateSpace, C: np.ndarray, out: np.ndarray, scratch=None) -
     return out
 
 
+def _stack(space: _StateSpace) -> np.ndarray:
+    """Both drunk schemes' stack of the m smear rows and P pair rows that slots
+    read (see `_StateSpace.reads`), as the smear of C = 0; capped as 3 tables."""
+    (m, columns), rows = space.shape, len(space.reads[1])
+    if (states := (2 * m + rows) * columns) > 3 * space.state_cap:
+        raise StateSpaceError(f"(2 x {m} table rows + {rows} stack rows) x {columns} robber "
+                              f"columns / 3 = {states // 3} states exceeds cap {space.state_cap}")
+    return np.zeros((rows, columns))
+
+
 def _drunk_jacobi(space: _StateSpace, opts: SolveOptions):
-    """`_sweeps` with 1 + the successor min of the smeared table. Each
-    sweep smears the table into the m rows of a stack and copies each of
-    its P pair rows from its row, columns permuted by its element, so every
-    slot is a row gather (see `_StateSpace.reads`). The capturable states
-    are set to 1 (see `_StateSpace.capturable`)."""
-    (m, columns), cols = space.shape, space.cols
-    elem, row = space.reads
-    if (2 * m + len(row)) * columns > 3 * space.state_cap:  # as 3 tables on the full space
-        raise StateSpaceError(f"(2 x {m} table rows + {len(row)} stack rows) x {columns} robber "
-                              f"columns / 3 = {(2 * m + len(row)) * columns // 3} states "
-                              f"exceeds cap {space.state_cap}")
-    stack = np.empty((len(row), columns))
-    smear, ends = stack[:m], np.cumsum(np.bincount(elem)).tolist()  # e's slots end at ends[e]
-    plan = _min_plan(*space.slots, columns)
+    """`_sweeps` with 1 + the successor min of the smeared `_stack`: each sweep
+    smears the table into its m rows, copies its P pair rows from their rows,
+    columns permuted, and sets the `_StateSpace.capturable` states to 1."""
+    (elem, row), cols, stack = space.reads, space.cols, _stack(space)
+    smear, ends = stack[:space.m], np.cumsum(np.bincount(elem)).tolist()  # e's end at ends[e]
+    plan = _min_plan(*space.slots, stack.shape)
 
     def step(C, out):
         _smeared(space, C, smear, out)  # out is scratch until the min writes every row
@@ -747,49 +755,43 @@ def _sweeps(space: _StateSpace, step, opts: SolveOptions):
     raise ConvergenceError(opts.max_sweeps, delta, opts.tolerance)
 
 
-# Levels with fewer rows than this run one row at a time: a block of one or
-# two rows costs more calls than it saves (k=1 barbells and lollipops).
-_BLOCK_MIN_ROWS = 3
-
-
 def _drunk_gauss_seidel(space: _StateSpace, opts: SolveOptions):
-    """`_sweeps` with a Gauss-Seidel step over the wavefront levels of
-    `_StateSpace.levels`, each level updated as one block. A level reads
-    lower levels already written in this sweep and higher levels not yet
-    written, just as the ascending row loop does, so the table, sweeps and
-    stats are the same bit for bit. Each row's smear stays one
-    matrix-vector product (a batched product would sum in another order),
-    and a row equal to its previous value keeps the smear it has."""
-    P = space.walk
-    W = np.zeros((space.m, space.n))  # masked smear of the current table, row by row
-    cops = np.array(space.configs)
-    flat, start, size = space.slots
-    # each row's or level's own successors, padded to the level's widest,
-    # and cop columns, built once per solve rather than once per sweep
+    """`_sweeps` with Jacobi's step run one wavefront level at a time (see
+    `_StateSpace.levels`): each level's smear, and the pair rows that read it,
+    go into the `_stack` before the next level reads it, so the full space
+    gives the ascending row loop's table, sweeps and stats bit for bit. Without
+    the gather a changed row smears by one product (a block sums in another order)."""
+    (m, columns), (elem, row), cols = space.shape, space.reads, space.cols
+    stack, (flat, start, size), levels = _stack(space), space.slots, space.levels
+    configs, capturable = np.array(space.configs), np.zeros(space.shape, dtype=bool)
+    capturable.reshape(-1)[space.capturable] = True
+    buffers = [np.empty((max(map(len, levels)), columns)) for _ in range(3)]
     steps = []
-    for rows in space.levels:
-        if len(rows) < _BLOCK_MIN_ROWS:
-            steps.extend((x, flat[start[x]: start[x] + size[x]], cops[x], (x, cops[x]))
-                         for x in rows.tolist())
-        else:
-            cols = cops[rows]
-            steps.append((rows, _padded_flat(flat, start[rows], size[rows]),
-                          (np.arange(len(rows))[:, None], cols), (rows[:, None], cols)))
+    for rows in levels:  # p: the pair rows that read the level
+        at = slice(rows[0], rows[-1] + 1) if rows[-1] - rows[0] < len(rows) else rows  # as a view
+        p = m + np.flatnonzero(np.isin(row[m:], rows, kind="table")) if len(row) > m else row[m:]
+        gather = space.gathers and space.twins.smear_plan(configs[rows], space.occupied[rows])
+        steps.append((at, _min_plan(flat, start[rows], size[rows], stack.shape), gather,
+                      (p, row[p, None], elem[p]), capturable[rows], space.occupied[rows],
+                      *(buffer[:len(rows)] for buffer in buffers)))
 
     def step(C, out):
-        for rows, succ, new_occupied, occupied in steps:
-            new = W[succ].min(axis=-2)  # per row, over its successors
+        for at, plan, gather, pairs, capturable, occupied, new, smeared, scratch in steps:
+            _gathered_min(plan, stack, new)
             new += 1.0
-            new[new_occupied] = 0.0
-            out[rows] = new
-            changed = (new != C[rows]).any(axis=-1)
-            if succ.ndim == 2:
-                for x in rows[changed].tolist():
-                    np.matmul(P, out[x], out=W[x])
-                W[occupied] = 0.0
-            elif changed:  # rows is one row x of a small level
-                np.matmul(P, new, out=W[rows])
-                W[occupied] = 0.0
+            np.copyto(new, capturable, where=capturable | occupied)  # capturable 1, occupied 0
+            out[at] = new
+            if gather:  # a row that did not change smears to the bits it had
+                space.twins.smear(gather, new, smeared, scratch)
+            else:  # a row that did not change keeps the smear it has
+                smeared[...] = stack[at]
+                for i in (new != C[at]).any(axis=1).nonzero()[0].tolist():
+                    np.matmul(space.walk, new[i], out=smeared[i])
+            smeared[occupied] = 0.0
+            stack[at] = smeared
+            p, p_row, p_elem = pairs
+            if len(p):
+                stack[p] = stack[p_row, cols[p_elem]]
 
     return _sweeps(space, step, opts)
 
@@ -814,15 +816,13 @@ def _drunk_start(
     opts: SolveOptions | None = None,
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> tuple[tuple[int, ...], float, SweepStats]:
-    """The optimal start and drunk capture time of `solve_drunk`, and its
-    sweep stats, without the policy: `_drunk_table` with `symmetric`, so
-    Jacobi runs on the quotient by the graph's declared group, whose cap
-    counts orbit rows and stack rows (see `_StateSpace`).
-    The start is the first member of the first orbit whose mean is within
-    `_near_min` of the least; a row's mean weighs each class column by its
-    free members. On twin-free graphs of maximum degree 2 (paths, cycles)
-    the quotient rows equal the full table's bit for bit; elsewhere they
-    differ from it in the last bits, because the smear sums in another order.
+    """The optimal start, drunk capture time and sweep stats of `solve_drunk`
+    without the policy, on the quotient by the declared group and twin swaps
+    (`_drunk_table` with `symmetric`). The start is the first member of the
+    first orbit whose mean is within `_near_min` of the least; a row's mean
+    weighs each class column by its free members. Jacobi's rows equal the
+    full table's bit for bit on twin-free graphs of maximum degree 2 (paths,
+    cycles); elsewhere, and under Gauss-Seidel, they may differ in the last bits.
     """
     if opts is None:
         opts = SolveOptions()

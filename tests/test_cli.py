@@ -525,6 +525,18 @@ def test_negative_counts_are_refused_at_parse_time(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("flag,argv", [
+    ("--exact-digits", ["dct", "--family", "path", "--n", "7", "--json"]),
+    ("--max-rounds", ["simulate", "--family", "path", "--n", "5", "--mode", "random-cops",
+                      "--trials", "50", "--json"]),
+    ("--max-cops", ["cod", "--family", "path", "--n", "5", "--json"])],
+    ids=["exact-digits", "max-rounds", "max-cops"])
+def test_signed_counts_read_as_int(capsys, flag, argv):
+    # every count flag parses by int(), so "+3" reads as 3 on all of them
+    signed = run_cli(capsys, *argv, flag, "+3")
+    assert signed == run_cli(capsys, *argv, flag, "3") and signed[0] == 0 and signed[1]
+
+
 # The options each subcommand reads, and no other
 SUBCOMMAND_OPTIONS = {
     "ct": "--family --n --c --d --depth --file --json --exact-digits --state-cap --k",
@@ -560,10 +572,12 @@ def test_each_subcommand_declares_the_options_it_reads():
     ids=["ct-scheme", "ct-tolerance", "ct-max-sweeps", "sweep-json", "sweep-file"])
 def test_flags_a_command_would_ignore_are_refused(capsys, argv):
     # ct runs no drunk iteration; sweep builds each row's graph from the
-    # family and always writes CSV
+    # family and always writes CSV. The subcommand's own parser reports the
+    # flag, with its usage line, not the top-level list of subcommands
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
-    assert err.startswith("usage:") and "error: unrecognized arguments" in err
+    assert err.startswith(f"usage: copchase {argv[0]} [-h] ")
+    assert f"copchase {argv[0]}: error: unrecognized arguments: {' '.join(argv[5:])}" in err
     assert "Traceback" not in err
 
 
@@ -584,14 +598,15 @@ def test_scheme_flag(capsys, schema):
 
 def test_dct_beyond_the_full_state_cap(capsys):
     # C400 k=2 has 32M states, over the default cap; its dihedral quotient
-    # has 201 x 400
+    # has 201 x 400, under either scheme
     code, out, _ = run_cli(capsys, "dct", "--family", "cycle", "--n", "400", "--k", "2",
                            "--json")
     assert code == 0
     assert 0.11 <= json.loads(out)["value"] / 400 <= 0.125
-    code, _, err = run_cli(capsys, "dct", "--family", "cycle", "--n", "400", "--k", "2",
-                           "--scheme", "gauss-seidel")
-    assert code == 3 and "exceeds cap" in err
+    code, gauss_seidel, _ = run_cli(capsys, "dct", "--family", "cycle", "--n", "400", "--k",
+                                    "2", "--scheme", "gauss-seidel", "--json")
+    assert code == 0  # Gauss-Seidel solves the same quotient, to the printed digits
+    assert json.loads(gauss_seidel)["value"] == json.loads(out)["value"]
 
 
 def test_ct_beyond_the_full_state_cap(capsys, schema):

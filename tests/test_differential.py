@@ -189,8 +189,9 @@ def assert_gathered_min_matches_padded(g, k, seed=0):
         space = _StateSpace(g, k, math.inf, symmetric=symmetric)
         table = np.random.default_rng(seed).random((len(space.cols) * space.m, space.n))
         padded = padded_min(_padded_flat(*space.slots), table, np.empty((space.m, space.n)))
-        for columns in (0, 10**9):  # gathered rows, then runs of slices wherever any
-            plan = solver._min_plan(*space.slots, columns)
+        # gathered rows, runs of slices wherever any, then every list at once
+        for shape in ((0, 0), (0, 10**9), (10**9, 0)):
+            plan = solver._min_plan(*space.slots, shape)
             for piece_entries in (1, solver._PIECE_ENTRIES):  # a row per piece, then the default
                 with mock.patch.object(solver, "_PIECE_ENTRIES", piece_entries):
                     out = np.full((space.m, space.n), np.nan)
@@ -255,30 +256,36 @@ def test_gauss_seidel_matches_row_loop(instance):
 
 
 @pytest.mark.parametrize("name", sorted(NAMED))
-@pytest.mark.parametrize("block_min_rows", [1, 3, 10**9])
-def test_gauss_seidel_matches_row_loop_named(name, block_min_rows, monkeypatch):
-    # 1 runs every level as a block, 10**9 runs every row alone
-    monkeypatch.setattr(solver, "_BLOCK_MIN_ROWS", block_min_rows)
+@pytest.mark.parametrize("block_rows", [1, 3, 10**9])
+def test_gauss_seidel_matches_row_loop_named(name, block_rows, monkeypatch):
+    # each level runs in blocks of at most this many rows: 1 runs every row
+    # alone, 10**9 every level as one block; rows of a level never read each other
+    levels = solver._StateSpace.levels.func
+    monkeypatch.setattr(solver._StateSpace, "levels", property(lambda space: [
+        block for rows in levels(space)
+        for block in np.split(rows, range(block_rows, len(rows), block_rows))]))
     assert_gauss_seidel_matches_rows(*NAMED[name])
 
 
 @pytest.mark.parametrize("name", sorted(NAMED))
 def test_wavefront_levels(name):
     g, k = NAMED[name]
-    space = _StateSpace(g, k, math.inf)
-    levels = space.levels
-    assert np.array_equal(np.sort(np.concatenate(levels)), np.arange(space.m))
-    level = np.empty(space.m, dtype=np.int64)
-    for i, rows in enumerate(levels):
-        assert len(rows) > 0 and np.all(np.diff(rows) > 0)
-        level[rows] = i
-    for x, succ in enumerate(slot_rows(space)):
-        assert np.all(level[succ[succ < x]] < level[x])
-        assert np.all(level[succ[succ != x]] != level[x])  # a level never reads itself
-        if np.any(succ < x):
-            assert level[x] == 1 + level[succ[succ < x]].max()
-        else:
-            assert level[x] == 0
+    for symmetric in (False, True):
+        space = _StateSpace(g, k, math.inf, symmetric)
+        levels = space.levels
+        assert np.array_equal(np.sort(np.concatenate(levels)), np.arange(space.m))
+        level = np.empty(space.m, dtype=np.int64)
+        for i, rows in enumerate(levels):
+            assert len(rows) > 0 and np.all(np.diff(rows) > 0)
+            level[rows] = i
+        for x, slots in enumerate(slot_rows(space)):
+            succ = space.reads[1][slots]  # the row each slot reads
+            assert np.all(level[succ[succ < x]] < level[x])
+            assert np.all(level[succ[succ != x]] != level[x])  # a level never reads itself
+            if np.any(succ < x):
+                assert level[x] == 1 + level[succ[succ < x]].max()
+            else:
+                assert level[x] == 0
 
 
 def dense_policy_value(g, policy, tolerance=1e-12, max_sweeps=10**6):
@@ -367,19 +374,22 @@ def test_drunk_solvers_match_exact_values(instance):
     jacobi = cc.solve_drunk(g, k, opts["jacobi"])
     gauss_seidel = cc.solve_drunk(g, k, opts["gauss-seidel"])
     q, C, stats = quotient_jacobi(g, k, opts["jacobi"])
+    quotient_gauss_seidel, gauss_seidel_stats = solver._drunk_gauss_seidel(q, opts["gauss-seidel"])
     V, rounds = exact_drunk_values(g, k, jacobi.policy.successor_idx)
     assert rounds == 0  # the float policy is optimal, ties allowed
     exact = np.array(V, dtype=float)
     # rounds == 0: V is also the exact value of the float policy itself
     evaluated = cc.policy_value(g, jacobi.policy, tolerance=1e-300).values
     for table in (jacobi.values.values, gauss_seidel.values.values, lift_quotient(q, C),
-                  evaluated):
+                  lift_quotient(q, quotient_gauss_seidel), evaluated):
         assert np.all(np.abs(table - exact) <= 1e-14 * exact)
     if len(g.symmetries) == 1 and not q.twins.lumps:  # the quotient is the full space
         assert np.array_equal(C, jacobi.values.values) and stats == jacobi.stats
+        assert np.array_equal(quotient_gauss_seidel, gauss_seidel.values.values)
+        assert gauss_seidel_stats == gauss_seidel.stats
     means = [sum(row) for row in V]
     best = {cfg for cfg, mean in zip(jacobi.values.configs, means) if mean == min(means)}
-    # _drunk_start's Jacobi start is the quotient's: it solves the same space
+    # _drunk_start's starts are the quotient's: both schemes solve that space
     starts = {jacobi.optimal_start()[0], gauss_seidel.optimal_start()[0],
               _drunk_start(g, k, opts["jacobi"])[0], _drunk_start(g, k, opts["gauss-seidel"])[0]}
     assert starts <= best
