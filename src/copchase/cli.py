@@ -320,9 +320,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
         args, unknown = parser.parse_known_args(argv)
-        if unknown:  # reported by the subcommand's parser, with its usage
+        # the top level takes no option but -h, so what precedes the subcommand
+        # is its leftover, reported with its usage; the rest, with the subcommand's
+        if top := argv[:argv.index(args.command)]:
+            parser.error(f"unrecognized arguments: {' '.join(top)}")
+        if unknown:
             args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     except SystemExit as exc:
         return int(exc.code or 0)

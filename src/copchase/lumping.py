@@ -17,6 +17,8 @@ robber, which a class column cannot record.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .graphs import Graph, _ragged, twin_quotient
@@ -80,17 +82,11 @@ class TwinColumns:
         free += self.size
         return free
 
-    def smear_plan(self, cfgs: np.ndarray, occupied: np.ndarray):
-        """What `smear` reads: the robber's steps between classes as (width x
-        columns) class and weight tables, column K listing in ascending order
-        the classes L that N(y) meets for y in class K, with the share of N(y)
-        in L (equal over twins) and weight 0 below; and per cop slot i, the
-        flat indices of the states of the rows cfgs (occupied: their `occupied`
-        mask) whose robber neighbours the row's i-th cop, the flat index of
-        that cop's class column, and the weight 1 / deg of the robber's vertex.
-        Only a cop in a class that keeps free members counts, each vertex once,
-        and not for the robber on a twin of the cop: every state one cop step
-        before such a state is capturable, and reads no smear."""
+    @functools.cached_property
+    def walk(self) -> tuple[np.ndarray, np.ndarray]:
+        """The robber's steps between classes as (width x columns) class and
+        weight tables: column K lists in ascending order the classes L that N(y)
+        meets for y in class K, with the share of N(y) in L, and weight 0 below."""
         flat, start, deg = self.g._neighbor_table(closed=False)
         reps = self.members[self.first]
         columns, deg = len(reps), deg[reps]
@@ -103,8 +99,18 @@ class TwinColumns:
         cols = np.zeros((at.max() + 1, columns), dtype=np.int64)
         weight = np.zeros(cols.shape)
         cols[at, row], weight[at, row] = cls, np.diff(head, append=len(key)) / deg[row]
+        return cols, weight
+
+    def smear_plan(self, cfgs: np.ndarray, occupied: np.ndarray) -> list:
+        """What `smear` reads of the rows cfgs (occupied: their `occupied` mask)
+        besides `walk`: per cop slot i, the flat indices of the states whose robber
+        neighbours the i-th cop, the flat index of its class column, and 1 / deg
+        of the robber's vertex. Only a cop in a class that keeps free members
+        counts, each vertex once, and not for the robber on its twin: every state
+        one cop step before such a state is capturable, and reads no smear."""
+        deg = self.g._neighbor_table(closed=False)[2][self.members[self.first]]
         flat, start, size = self.robber._neighbor_table(closed=False)
-        corrections = []
+        columns, corrections = len(deg), []
         for i in range(cfgs.shape[1]):
             cop = self.label[cfgs[:, i]]
             keep = ~occupied[np.arange(len(cfgs)), cop] & (self.size[cop] > 1)
@@ -115,15 +121,14 @@ class TwinColumns:
             row, src = np.repeat(row, size[cop]), np.repeat(row + cop, size[cop])
             if len(dst):
                 corrections.append((row + dst, src, 1.0 / deg[dst]))
-        return (cols, weight), corrections
+        return corrections
 
-    def smear(self, plan, C: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
-        """out = the smear of the class table C by `smear_plan`, before the
-        occupied columns are zeroed: a gather-add over the classes each
-        class steps to, through `scratch`, a table like out, which counts
-        every member of a class at the class's free value; minus the members
-        a cop occupies, a rank-k correction."""
-        (cols, weight), corrections = plan
+    def smear(self, corrections: list, C: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+        """out = the smear of the class table C by `walk` and its rows' `smear_plan`
+        before the occupied columns are zeroed: a gather-add over the classes each
+        class steps to, through `scratch` (a table like out), counting each member
+        at its class's free value, minus those a cop occupies (rank k)."""
+        cols, weight = self.walk
         # mode="clip": with the default "raise", take fills `out` through a buffer
         C.take(cols[0], axis=1, out=out, mode="clip")
         out *= weight[0]

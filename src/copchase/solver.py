@@ -80,11 +80,11 @@ class _StateSpace:
 
     The cap counts what a solve path holds: retrograde, rows x columns
     (checked as rows are found); drunk solves, (3m + P) x columns / 3 for two
-    tables and the m + P rows of the `_stack` (m x n on the full space); and
-    every path, the successor slots of `slots`, counted as the search lists
-    them. Up front it bounds C(c+k-1, k) x c / (declared group order) for c
-    columns, and by a table at the cap the bytes the search marks and lists
-    (see `_successors`).
+    tables and the m + P rows of `_drunk`'s stack (m x n on the full space);
+    and every path, the successor slots of `slots`, counted as the search
+    lists them. Up front it bounds C(c+k-1, k) x c / (declared group order)
+    for c columns, and by a table at the cap the bytes the search marks and
+    lists (see `_successors`).
 
     Values are invariant under the group: if s maps a successor x' of a row
     onto the row r, the value at (x', y) is the value at (r, s(y)). So a
@@ -340,10 +340,12 @@ def _min_plan(flat: np.ndarray, start: np.ndarray, size: np.ndarray, shape: tupl
     row, one list entry per column, and a length: the rows from there on read
     the entries from there on."""
     (rows_read, columns), by_size = shape, np.argsort(size, kind="stable")
-    classes = np.split(by_size, np.flatnonzero(np.diff(np.frexp(size[by_size])[1])) + 1)
+    exp = np.frexp(size[by_size])[1]  # sliced: np.split and np.diff took 10 us a level
+    cuts = [0, *(np.flatnonzero(exp[1:] != exp[:-1]) + 1).tolist(), len(size)]
+    classes = [by_size[a:b] for a, b in zip(cuts, cuts[1:])]
     if len(size) * size.max() <= max(rows_read, size.max() ** 2):
         return [(rows, _padded_flat(flat, start[rows], size[rows]), "whole")
-                for rows in classes], [], []
+                for rows in classes], (), ()
     groups, rest, src = [], [], []
     for rows in classes:
         lists = _padded_flat(flat, start[rows], size[rows])
@@ -677,8 +679,7 @@ def _drunk_table(g: Graph, k: int, opts: SolveOptions, state_cap: float, symmetr
     space = _StateSpace(g, k, state_cap, symmetric)
     if g.n == 1:
         return space, np.zeros((1, 1)), SweepStats(0, 0.0, 0.0, 0.0)
-    solve = _drunk_jacobi if opts.scheme == "jacobi" else _drunk_gauss_seidel
-    return (space, *solve(space, opts))
+    return (space, *_drunk(space, opts))
 
 
 def _smeared(space: _StateSpace, C: np.ndarray, out: np.ndarray, scratch=None) -> np.ndarray:
@@ -699,39 +700,6 @@ def _smeared(space: _StateSpace, C: np.ndarray, out: np.ndarray, scratch=None) -
         np.matmul(C, space.walk.T, out=out)
     out.reshape(-1)[space.occupied_at] = 0.0
     return out
-
-
-def _stack(space: _StateSpace) -> np.ndarray:
-    """Both drunk schemes' stack of the m smear rows and P pair rows that slots
-    read (see `_StateSpace.reads`), as the smear of C = 0; capped as 3 tables."""
-    (m, columns), rows = space.shape, len(space.reads[1])
-    if (states := (2 * m + rows) * columns) > 3 * space.state_cap:
-        raise StateSpaceError(f"(2 x {m} table rows + {rows} stack rows) x {columns} robber "
-                              f"columns / 3 = {states // 3} states exceeds cap {space.state_cap}")
-    return np.zeros((rows, columns))
-
-
-def _drunk_jacobi(space: _StateSpace, opts: SolveOptions):
-    """`_sweeps` with 1 + the successor min of the smeared `_stack`: each sweep
-    smears the table into its m rows, copies its P pair rows from their rows,
-    columns permuted, and sets the `_StateSpace.capturable` states to 1."""
-    (elem, row), cols, stack = space.reads, space.cols, _stack(space)
-    smear, ends = stack[:space.m], np.cumsum(np.bincount(elem)).tolist()  # e's end at ends[e]
-    plan = _min_plan(*space.slots, stack.shape)
-
-    def step(C, out):
-        _smeared(space, C, smear, out)  # out is scratch until the min writes every row
-        for e in range(1, len(cols)):
-            # mode="clip": with the default "raise", take fills `out` through a buffer
-            np.take(smear[row[ends[e - 1]: ends[e]]], cols[e], axis=1,
-                    out=stack[ends[e - 1]: ends[e]], mode="clip")
-        _gathered_min(plan, stack, out)
-        out += 1.0
-        flat = out.reshape(-1)
-        flat[space.capturable] = 1.0
-        flat[space.occupied_at] = 0.0
-
-    return _sweeps(space, step, opts)
 
 
 def _sweeps(space: _StateSpace, step, opts: SolveOptions):
@@ -755,45 +723,67 @@ def _sweeps(space: _StateSpace, step, opts: SolveOptions):
     raise ConvergenceError(opts.max_sweeps, delta, opts.tolerance)
 
 
-def _drunk_gauss_seidel(space: _StateSpace, opts: SolveOptions):
-    """`_sweeps` with Jacobi's step run one wavefront level at a time (see
-    `_StateSpace.levels`): each level's smear, and the pair rows that read it,
-    go into the `_stack` before the next level reads it, so the full space
-    gives the ascending row loop's table, sweeps and stats bit for bit. Without
-    the gather a changed row smears by one product (a block sums in another order)."""
-    (m, columns), (elem, row), cols = space.shape, space.reads, space.cols
-    stack, (flat, start, size), levels = _stack(space), space.slots, space.levels
-    configs, capturable = np.array(space.configs), np.zeros(space.shape, dtype=bool)
-    capturable.reshape(-1)[space.capturable] = True
-    buffers = [np.empty((max(map(len, levels)), columns)) for _ in range(3)]
-    steps = []
-    for rows in levels:  # p: the pair rows that read the level
-        at = slice(rows[0], rows[-1] + 1) if rows[-1] - rows[0] < len(rows) else rows  # as a view
-        p = m + np.flatnonzero(np.isin(row[m:], rows, kind="table")) if len(row) > m else row[m:]
-        gather = space.gathers and space.twins.smear_plan(configs[rows], space.occupied[rows])
-        steps.append((at, _min_plan(flat, start[rows], size[rows], stack.shape), gather,
-                      (p, row[p, None], elem[p]), capturable[rows], space.occupied[rows],
-                      *(buffer[:len(rows)] for buffer in buffers)))
+def _drunk(space: _StateSpace, opts: SolveOptions):
+    """`_sweeps` with 1 + the successor min of a stack of the m smear rows and
+    the P pair rows that slots read (see `_StateSpace.reads`), one level of
+    rows at a time: under Jacobi one level of every row, under Gauss-Seidel
+    the wavefronts of `_StateSpace.levels`. Before a level's min the step
+    smears the level before it (first the previous table's last, through the
+    spent update) and copies the pair rows that read it, columns permuted, so
+    Gauss-Seidel gives the ascending row loop's bits on the full space."""
+    (m, columns), (elem, read), cols = space.shape, space.reads, space.cols
+    if (states := (2 * m + len(read)) * columns) > 3 * space.state_cap:  # capped as 3 tables
+        raise StateSpaceError(f"(2 x {m} table rows + {len(read)} stack rows) x {columns} robber "
+                              f"columns / 3 = {states // 3} states exceeds cap {space.state_cap}")
+    stack, (flat, start, size) = np.zeros((len(read), columns)), space.slots  # the smear of C = 0
+    levels = space.levels if opts.scheme == "gauss-seidel" else [np.arange(m)]
+    bounds, read, key = [0, *itertools.accumulate(map(len, levels))], read[m:], elem[m:]
+    fixes = [None], [None]  # one level reads the space's, listed in its first sweep (peak RSS)
+    if len(levels) > 1:  # each level's rows, and the pair rows that read it, laid end to end
+        place = np.argsort(order := np.concatenate(levels))
+        level = np.searchsorted(bounds, place[read], "right") - 1  # the level each pair row reads
+        by_level = np.argsort(level, kind="stable")
+        flat = np.concatenate((place, m + np.argsort(by_level)))[flat]
+        start, size = start[order], size[order]
+        read, key = place[read[by_level]], (level * len(cols) + key)[by_level]
+        fixes = [np.sort(place[f // columns] * columns + f % columns)  # capturable, occupied
+                 for f in (space.capturable, space.occupied_at)]
+        cuts = (np.searchsorted(f, np.multiply(bounds, columns)).tolist() for f in fixes)
+        fixes = [[f[a:b] for a, b in itertools.pairwise(cut)] for f, cut in zip(fixes, cuts)]
+    pairs, ends = [[] for _ in levels], [0, *(count := np.bincount(key)).cumsum().tolist()]
+    for q in np.flatnonzero(count).tolist():  # the pair rows of one (level, element) key
+        a, b = ends[q], ends[q + 1]
+        pairs[q // len(cols)].append((read[a:b], cols[q % len(cols)], slice(m + a, m + b)))
+    steps = [(at, _min_plan(flat, start[at], size[at], stack.shape), *(f[i] for f in fixes),
+              space.gathers and space.twins.smear_plan(
+                  np.array([space.configs[x] for x in rows.tolist()]), space.occupied[rows]),
+              pairs[i]) for i, (at, rows) in enumerate(zip(map(slice, bounds, bounds[1:]), levels))]
+    scratch = np.empty((max(map(len, levels[:-1]), default=0), columns)) if space.gathers else None
+    del flat, start, size  # only the plans read them (under Gauss-Seidel, copies)
 
     def step(C, out):
-        for at, plan, gather, pairs, capturable, occupied, new, smeared, scratch in steps:
-            _gathered_min(plan, stack, new)
-            new += 1.0
-            np.copyto(new, capturable, where=capturable | occupied)  # capturable 1, occupied 0
-            out[at] = new
-            if gather:  # a row that did not change smears to the bits it had
-                space.twins.smear(gather, new, smeared, scratch)
-            else:  # a row that did not change keeps the smear it has
-                smeared[...] = stack[at]
-                for i in (new != C[at]).any(axis=1).nonzero()[0].tolist():
-                    np.matmul(space.walk, new[i], out=smeared[i])
-            smeared[occupied] = 0.0
-            stack[at] = smeared
-            p, p_row, p_elem = pairs
-            if len(p):
-                stack[p] = stack[p_row, cols[p_elem]]
+        src, smears, (at, _, _, occupied, gather, pairs) = C, stack.reshape(-1), steps[-1]
+        for level in steps:
+            prev, smear = src[at], stack[at]
+            if space.gathers:
+                space.twins.smear(gather, prev, smear, (out if src is C else scratch)[:len(prev)])
+            elif len(steps) == 1:
+                np.matmul(prev, space.walk.T, out=smear)
+            else:  # changed rows (all the previous table's) one product each, as the row loop
+                for i in range(len(prev)) if src is C else (prev != C[at]).any(1).nonzero()[0]:
+                    np.matmul(space.walk, prev[i], out=smear[i])
+            smears[space.occupied_at if occupied is None else occupied] = 0.0
+            for rows, permuted, into in pairs:
+                # mode="clip": with the default "raise", take fills `out` through a buffer
+                stack[rows].take(permuted, axis=1, out=stack[into], mode="clip")
+            at, plan, capturable, occupied, gather, pairs = level
+            np.add(_gathered_min(plan, stack, new := out[at]), 1.0, out=new)
+            out.reshape(-1)[space.capturable if capturable is None else capturable] = 1.0
+            out.reshape(-1)[space.occupied_at if occupied is None else occupied] = 0.0
+            src = out
 
-    return _sweeps(space, step, opts)
+    C, stats = _sweeps(space, step, opts)
+    return (C[place] if len(levels) > 1 else C), stats
 
 
 def _drunk_policy(space: _StateSpace, C: np.ndarray) -> np.ndarray:

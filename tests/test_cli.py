@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -9,6 +10,8 @@ from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import copchase as cc
 from copchase.cli import build_parser, main
@@ -581,6 +584,20 @@ def test_flags_a_command_would_ignore_are_refused(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv,prog,unknown", [
+    (["--bogus", "ct", "--family", "path", "--n", "5"], "copchase", "--bogus"),
+    (["--bogus", "ct", "--family", "path", "--n", "5", "--zap"], "copchase", "--bogus"),
+    (["ct", "--family", "path", "--n", "5", "--bogus"], "copchase ct", "--bogus")],
+    ids=["before", "before-and-after", "after"])
+def test_unknown_options_are_reported_where_they_stand(capsys, argv, prog, unknown):
+    # an option before the subcommand is the top level's, reported with its
+    # list of subcommands; one after it is the subcommand's
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"usage: {prog} [-h] ")
+    assert err.endswith(f"{prog}: error: unrecognized arguments: {unknown}\n")
+
+
 def test_nonconvergence_exit(capsys):
     code, _, err = run_cli(capsys, "dct", "--family", "path", "--n", "8", "--k", "1",
                            "--max-sweeps", "1")
@@ -634,3 +651,80 @@ def test_scalar_commands_build_no_adversarial_policy(capsys, monkeypatch, argv, 
     assert code == expected and not err
     if argv[0] == "sweep":  # a row's failure is recorded in its error column
         assert [row["error"] for row in csv.DictReader(io.StringIO(out))] == ["", ""]
+
+
+# Values per option for the command-line fuzz: one in 15 an edge value
+# (EDGES), the rest valid ones. Every option a parser declares may be drawn.
+# The budget options always are, so that every run stays small, and so are
+# the graph's, from a family or, one time in four, from a file.
+EDGES = ["-1", "0", "+3", "nan", "inf", "-inf", "1e308", "", "x"]
+FUZZ_VALUES = {
+    "--n": ["1", "2", "5", "8"],
+    "--c": ["0", "0.5", "1", "2", "3"],
+    "--d": ["1", "2", "3"],
+    "--depth": ["1", "2", "3"],
+    "--k": ["1", "2", "3"],
+    "--max-cops": ["1", "2", "3"],
+    "--exact-digits": ["0", "3", "6", "17"],
+    "--state-cap": ["10", "100", "10000"],
+    "--tolerance": ["1e-10", "0.001", "1e308"],
+    "--max-sweeps": ["1", "50"],
+    "--max-rounds": ["1", "50"],
+    "--trials": ["1", "50"],
+    "--seed": ["0", "1", "7"],
+    "--n-list": ["1,2", "5,8", "5,,6"],
+    "--c-list": ["0.5,1", "2"],
+}
+FUZZ_ALWAYS = {"--n", "--max-sweeps", "--max-rounds", "--trials", "--state-cap",
+               "--family", "--file", "--c", "--d", "--depth"}
+FUZZ_FILES = {"--file": {"path4.edges": "4 3\n0 1\n1 2\n2 3\n", "bad.edges": "x y\n",
+                         "empty.edges": "", "missing.edges": None},
+              "--strategy": {"sweep.txt": "0\n1\n2\n3\n", "bad.txt": "0 x\n", "missing.txt": None},
+              "--output": {"out.csv": None, "missing/out.csv": None}}
+
+
+@st.composite
+def command_lines(draw, files):
+    """A subcommand and a draw of the options its parser declares, with values."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    name = draw(st.sampled_from(sorted(sub.choices)))
+    argv, source = [name], draw(st.sampled_from(["--family"] * 3 + ["--file"]))
+    for action in sub.choices[name]._actions:
+        flag = action.option_strings[-1] if action.option_strings else "-h"
+        if flag in ("-h", "--help", {"--file": "--family", "--family": "--file"}[source]):
+            continue
+        if not (action.required or flag in FUZZ_ALWAYS or draw(st.booleans())):
+            continue
+        argv.append(flag)
+        if action.nargs == 0:  # a switch
+            continue
+        if flag in files:  # never an edge value: --output writes where it points
+            argv.append(draw(st.sampled_from(files[flag])))
+            continue
+        values = list(action.choices) if action.choices else FUZZ_VALUES.get(flag, EDGES)
+        edge = draw(st.sampled_from([False] * 14 + [True]))
+        argv.append(draw(st.sampled_from(EDGES if edge else values)))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """Per file option, the paths it may read or write: the first of each
+    kind a valid file, then malformed, empty and missing ones."""
+    root = tmp_path_factory.mktemp("fuzz")
+    for files in FUZZ_FILES.values():
+        for name, text in files.items():
+            if text is not None:
+                (root / name).write_text(text)
+    return {flag: [str(root / name) for name in files] for flag, files in FUZZ_FILES.items()}
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_no_command_line_ends_in_a_traceback(fuzz_files, data):
+    # every failure maps to a documented exit code; main raises nothing
+    argv = data.draw(command_lines(fuzz_files))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in {0, 2, 3, 4, 5}, argv

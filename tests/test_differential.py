@@ -1,8 +1,8 @@
 """Differential tests on seeded random small graphs: the solver's policy
 evaluator and the fixed-strategy capture distribution against the dense
 cop-modified-chain reference, the policy evaluator against its own former
-loop, wavefront Gauss-Seidel against the row-by-row loop, the retrograde
-adversarial solve against the fixpoint sweep loop and its quotient against
+loop, Jacobi and wavefront Gauss-Seidel against the row-by-row loop, the
+retrograde adversarial solve against the fixpoint sweep loop and its quotient against
 the full solve, the successor min over distinct lists against the padded one,
 the lumped smear's gather tables against the dense walk between twin classes,
 the successors of kept cop steps against those of every cop step,
@@ -211,9 +211,11 @@ def test_gathered_min_matches_padded_min_named(g):
     assert_gathered_min_matches_padded(g, 1)
 
 
-def row_by_row_gauss_seidel(space, opts):
-    """Reference Gauss-Seidel: one configuration row at a time, in ascending
-    order, each row reading the rows before it as updated in this sweep."""
+def row_by_row(space, opts):
+    """Reference value iteration by `opts.scheme`: one configuration row at a
+    time, in ascending order. Under Gauss-Seidel each row reads the rows
+    before it as updated in this sweep, smeared one row at a time; under
+    Jacobi every row reads the previous table, smeared whole once a sweep."""
     P = space.walk
     C = np.zeros((space.m, space.n))
     W = np.zeros_like(C)  # masked smear of the current table, row by row
@@ -221,6 +223,9 @@ def row_by_row_gauss_seidel(space, opts):
             for succ, occupied in zip(slot_rows(space), space.occupied)]
     min_increment = math.inf
     for sweep in range(1, opts.max_sweeps + 1):
+        if opts.scheme == "jacobi":
+            W = C @ P.T
+            W[space.occupied] = 0.0
         delta = 0.0
         for x, (succ, occ) in enumerate(rows):
             new_row = W[succ].min(axis=0)
@@ -230,18 +235,19 @@ def row_by_row_gauss_seidel(space, opts):
             delta = max(delta, float(np.abs(diff).max()))
             min_increment = min(min_increment, float(diff.min()))
             C[x] = new_row
-            w = P @ new_row
-            w[occ] = 0.0
-            W[x] = w
+            if opts.scheme == "gauss-seidel":
+                w = P @ new_row
+                w[occ] = 0.0
+                W[x] = w
         if delta < opts.tolerance:
             return C, SweepStats(sweep, delta, min_increment, float(C.max()))
-    raise AssertionError("reference Gauss-Seidel did not converge")
+    raise AssertionError("reference value iteration did not converge")
 
 
-def assert_gauss_seidel_matches_rows(g, k, opts=SolveOptions(scheme="gauss-seidel")):
+def assert_matches_row_loop(g, k, opts=SolveOptions(scheme="gauss-seidel")):
     sol = cc.solve_drunk(g, k, opts)
     space = _StateSpace(g, k, math.inf)
-    C, stats = row_by_row_gauss_seidel(space, opts)
+    C, stats = row_by_row(space, opts)
     assert np.array_equal(sol.values.values, C)
     assert np.array_equal(sol.policy.successor_idx, solver._drunk_policy(space, C))
     assert sol.stats == stats
@@ -251,8 +257,8 @@ def assert_gauss_seidel_matches_rows(g, k, opts=SolveOptions(scheme="gauss-seide
 @given(gs_instances)
 def test_gauss_seidel_matches_row_loop(instance):
     g, k = instance
-    assert_gauss_seidel_matches_rows(g, k)
-    assert_gauss_seidel_matches_rows(g, k, SolveOptions(scheme="gauss-seidel", tolerance=1e-300))
+    assert_matches_row_loop(g, k)
+    assert_matches_row_loop(g, k, SolveOptions(scheme="gauss-seidel", tolerance=1e-300))
 
 
 @pytest.mark.parametrize("name", sorted(NAMED))
@@ -264,7 +270,22 @@ def test_gauss_seidel_matches_row_loop_named(name, block_rows, monkeypatch):
     monkeypatch.setattr(solver._StateSpace, "levels", property(lambda space: [
         block for rows in levels(space)
         for block in np.split(rows, range(block_rows, len(rows), block_rows))]))
-    assert_gauss_seidel_matches_rows(*NAMED[name])
+    assert_matches_row_loop(*NAMED[name])
+
+
+@SETTINGS
+@given(gs_instances)
+def test_jacobi_matches_row_loop(instance):
+    # Jacobi is the level loop with one level: every row reads the smear of
+    # the previous table, taken as one product
+    g, k = instance
+    assert_matches_row_loop(g, k, SolveOptions(scheme="jacobi"))
+    assert_matches_row_loop(g, k, SolveOptions(scheme="jacobi", tolerance=1e-300))
+
+
+@pytest.mark.parametrize("name", sorted(NAMED))
+def test_jacobi_matches_row_loop_named(name):
+    assert_matches_row_loop(*NAMED[name], SolveOptions(scheme="jacobi"))
 
 
 @pytest.mark.parametrize("name", sorted(NAMED))
@@ -344,7 +365,7 @@ def test_policy_value_of_jacobi_policy_is_the_jacobi_table(instance):
 
 def quotient_jacobi(g, k, opts):
     q = _StateSpace(g, k, math.inf, symmetric=True)
-    C, stats = solver._drunk_jacobi(q, opts)
+    C, stats = solver._drunk(q, opts)
     return q, C, stats
 
 
@@ -374,7 +395,7 @@ def test_drunk_solvers_match_exact_values(instance):
     jacobi = cc.solve_drunk(g, k, opts["jacobi"])
     gauss_seidel = cc.solve_drunk(g, k, opts["gauss-seidel"])
     q, C, stats = quotient_jacobi(g, k, opts["jacobi"])
-    quotient_gauss_seidel, gauss_seidel_stats = solver._drunk_gauss_seidel(q, opts["gauss-seidel"])
+    quotient_gauss_seidel, gauss_seidel_stats = solver._drunk(q, opts["gauss-seidel"])
     V, rounds = exact_drunk_values(g, k, jacobi.policy.successor_idx)
     assert rounds == 0  # the float policy is optimal, ties allowed
     exact = np.array(V, dtype=float)
@@ -519,7 +540,7 @@ def test_lumped_jacobi_matches_exact_values(instance):
     g, k = instance
     opts = SolveOptions(scheme="jacobi", tolerance=1e-300, max_sweeps=10**4)
     q = lumped_space(g, k)
-    C, _ = solver._drunk_jacobi(q, opts)
+    C, _ = solver._drunk(q, opts)
     V, rounds = exact_drunk_values(g, k, cc.solve_drunk(g, k, opts).policy.successor_idx)
     assert rounds == 0
     exact = np.array(V, dtype=float)
@@ -540,7 +561,7 @@ def test_smear_plan_lists_the_dense_class_walk(instance):
     g, k = instance
     q = lumped_space(g, k)
     walk = dense_class_walk(q.twins)
-    (cols, weight), _ = q.smear_plan
+    cols, weight = q.twins.walk
     assert cols.shape == weight.shape and cols.shape[1] == len(walk)
     for K, row in enumerate(walk):
         steps = np.flatnonzero(row)
@@ -636,7 +657,7 @@ def test_lumped_quotient_lifts_to_the_full_tables(name):
     full = cc.solve_adversarial(g, k)
     assert np.array_equal(lift_quotient(q, solver._retrograde(q)[0]), full.cop_values.values)
     drunk = cc.solve_drunk(g, k)
-    C, stats = solver._drunk_jacobi(q, SolveOptions())
+    C, stats = solver._drunk(q, SolveOptions())
     lifted = lift_quotient(q, C)
     assert np.abs(lifted - drunk.values.values).max() <= 1e-12 * drunk.values.values.max()
     assert stats.sweeps == drunk.stats.sweeps

@@ -170,6 +170,26 @@ def test_lumped_drunk_memory_in_bytes():
     assert peak <= 6 * space.m * space.shape[1] * 8
 
 
+@pytest.mark.parametrize("g,k", [(cc.lollipop(150, 0.6), 1), (cc.cycle(120), 2), (cc.grid(10), 2)],
+                         ids=["L150k1", "C120k2", "G10k2"])
+def test_gauss_seidel_memory_in_bytes(g, k):
+    # both schemes hold the table, its update and the stack; Gauss-Seidel
+    # builds each level's state once, beside them. A copy of the class walk
+    # per level peaked at 2.5 x Jacobi's on L(150, 0.6), and the per-level
+    # masks and buffers at 1.8 x on C120 k=2
+    peaks = {}
+    for scheme in solver.SCHEMES:
+        opts = cc.SolveOptions(scheme=scheme)
+        _drunk_start(g, k, opts)  # the graph's cached tables and group first
+        tracemalloc.start()
+        try:
+            _drunk_start(g, k, opts)
+            peaks[scheme] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["gauss-seidel"] <= 1.25 * peaks["jacobi"]
+
+
 @pytest.mark.parametrize("start", [solver._adversarial_start, _drunk_start],
                          ids=["adversarial", "drunk"])
 def test_star_solves_in_bytes(start):
@@ -233,7 +253,7 @@ def test_jacobi_stack_holds_the_read_pairs(g, k, monkeypatch):
         return gathered_min(plan, table, out)
 
     monkeypatch.setattr(solver, "_gathered_min", spy)
-    solver._drunk_jacobi(q, cc.SolveOptions(max_sweeps=3, tolerance=1e300))
+    solver._drunk(q, cc.SolveOptions(max_sweeps=3, tolerance=1e300))
     stack = stacks[-1]
     assert stack.shape == (m + len(pairs), columns)
     assert np.array_equal(stack[m:], stack[row[m:, None], q.cols[elem[m:]]])
@@ -397,7 +417,7 @@ def test_trivial_group_search_keeps_the_one_configuration_list(g, k, symmetric, 
     assert [[(s, tuple(range(space.shape[1]))) for s in succ.tolist()]
             for succ in slot_rows(space)] == listed_successors(space)
     assert solver._retrograde(space)[1] == layers
-    assert solver._drunk_jacobi(space, cc.SolveOptions())[1].sweeps == sweeps
+    assert solver._drunk(space, cc.SolveOptions())[1].sweeps == sweeps
 
 
 def twin_free_graphs():
@@ -419,7 +439,7 @@ def test_capturable_states_hold_1_without_the_seed(g, k, symmetric):
     seeded = _StateSpace(g, k, math.inf, symmetric)
     seeded.capturable = capturable  # the cached property, as where classes lump
     for solve in (solver._retrograde,
-                  lambda unsolved: solver._drunk_jacobi(unsolved, cc.SolveOptions())):
+                  lambda unsolved: solver._drunk(unsolved, cc.SolveOptions())):
         (table, count), (seeded_table, seeded_count) = solve(space), solve(seeded)
         assert np.all(table.reshape(-1)[capturable] == 1.0)
         assert np.array_equal(table, seeded_table) and count == seeded_count
