@@ -290,7 +290,12 @@ def complete_tree(d: int, depth: int) -> Graph:
         raise GraphError(f"complete_tree requires branching d >= 2, got {d}")
     if depth < 0:
         raise GraphError(f"complete_tree requires depth >= 0, got {depth}")
-    n = (d ** (depth + 1) - 1) // (d - 1)
+    n = width = 1  # one level at a time, stopping past the cap: d ** (depth + 1) may not fit memory
+    for _ in range(depth):
+        if n > MAX_GENERATED_VERTICES:
+            break
+        width *= d
+        n += width
     _check_size(f"complete_tree({d}, {depth})", n, n - 1)
     edges = []
     # breadth-first labelling: children of vertex i are d*i+1 .. d*i+d
@@ -320,6 +325,8 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
 
 def grid(n: int) -> Graph:
     """Square grid: the Cartesian product of two paths on n vertices."""
+
+    _check_size(f"grid({n})", n * n, 2 * n * (n - 1))  # before the factor paths are built
 
     def square():  # the 8 symmetries of the square: transpose or not, then flip either axis
         i, j = np.divmod(np.arange(n * n), n)

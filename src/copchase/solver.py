@@ -328,40 +328,44 @@ _RUN_ENTRIES = 1024
 _PIECE_ENTRIES = 2**14
 
 
-def _min_plan(flat: np.ndarray, start: np.ndarray, size: np.ndarray, shape: tuple[int, int]):
-    """The plan of `_gathered_min` for lists laid end to end (see
-    `_StateSpace.slots`) over a table of this shape. Where the lists, padded
-    to the widest, hold no more rows than the table or the widest squared (a
-    Gauss-Seidel level), each width class (widths in [2^i, 2^(i+1))) is read
-    "whole", padded to its widest. Else per width class, the first row of each
-    distinct list, padded, and the runs `_RUN_ENTRIES` allows, or None; then
-    the other rows, and the first row of their list. Equal lists are equal
-    padded rows (pads repeat an entry), found by one stable sort. A run is a
-    row, one list entry per column, and a length: the rows from there on read
-    the entries from there on."""
-    (rows_read, columns), by_size = shape, np.argsort(size, kind="stable")
-    exp = np.frexp(size[by_size])[1]  # sliced: np.split and np.diff took 10 us a level
-    cuts = [0, *(np.flatnonzero(exp[1:] != exp[:-1]) + 1).tolist(), len(size)]
-    classes = [by_size[a:b] for a, b in zip(cuts, cuts[1:])]
-    if len(size) * size.max() <= max(rows_read, size.max() ** 2):
-        return [(rows, _padded_flat(flat, start[rows], size[rows]), "whole")
-                for rows in classes], (), ()
-    groups, rest, src = [], [], []
-    for rows in classes:
-        lists = _padded_flat(flat, start[rows], size[rows])
-        order = np.lexsort((*lists.T[::-1], size[rows]))  # the last key is the first
-        head = np.concatenate(([True], np.diff(lists[order], axis=0).any(axis=1)))
-        first = order[head]
-        rest.append(rows[order[~head]])
-        src.append(rows[first][np.cumsum(head)[~head] - 1])
-        rows, lists = rows[first], lists[first]
-        keys = np.column_stack([rows, lists])
-        cut = np.flatnonzero(np.concatenate(([True], (np.diff(keys, axis=0) != 1).any(axis=1))))
-        runs = None
-        if len(rows) * columns >= _RUN_ENTRIES * len(cut):
-            runs = list(zip(keys[cut].tolist(), np.diff(cut, append=len(rows)).tolist()))
+def _min_plan(flat: np.ndarray, start: np.ndarray, size: np.ndarray, shape: tuple[int, int],
+              bounds=None) -> list:
+    """The plans of `_gathered_min` for lists laid end to end (see
+    `_StateSpace.slots`) over a table of this shape, one per level of rows
+    [bounds[i], bounds[i+1]) (one level by default), counted from its first row,
+    by width class (widths in [2^i, 2^(i+1))) sliced from one padded table per
+    class. A level whose lists, padded to its widest, hold no more rows than the
+    table or the widest squared (a Gauss-Seidel level) reads each "whole". Else
+    per class, the first row of each distinct list and the runs `_RUN_ENTRIES`
+    allows, or None; then the other rows and their list's first row. A run is a
+    row, one list entry per column, and a length: the rows on read the entries on."""
+    (rows_read, columns), bounds = shape, [0, len(size)] if bounds is None else bounds
+    plans = [([], None if (b - a) * w <= max(rows_read, w * w) else [], [])  # None: read whole
+             for a, b, w in zip(bounds, bounds[1:], np.maximum.reduceat(size, bounds[:-1]))]
+    level = np.repeat(np.arange(len(plans)), np.diff(bounds)) if len(plans) > 1 else 0
+    by = np.lexsort((size, key := np.frexp(size)[1] * len(plans) + level))  # class, level, width
+    cuts = [0, *(np.flatnonzero((key := key[by])[1:] != key[:-1]) + 1).tolist(), len(size)]
+    for a, b in itertools.pairwise(cuts):
+        cls, i = divmod(int(key[a]), len(plans))
+        if a == 0 or cls != padded:  # one table per class, padded to its widest
+            end, padded, lo = np.searchsorted(key, (cls + 1) * len(plans)), cls, a
+            table = _padded_flat(flat, start[by[a:end]], size[by[a:end]])
+        (groups, rest, src), rows, runs = plans[i], by[a:b] - bounds[i], "whole"
+        lists = np.ascontiguousarray(table[a - lo: b - lo, :size[by[b - 1]]])
+        if rest is not None:  # equal lists are equal padded rows (pads repeat an entry)
+            order = np.lexsort((*lists.T[::-1], size[rows]))  # the last key is the first
+            head = np.concatenate(([True], np.diff(lists[order], axis=0).any(axis=1)))
+            first = order[head]
+            rest.append(rows[order[~head]])
+            src.append(rows[first][np.cumsum(head)[~head] - 1])
+            rows, lists = rows[first], lists[first]
+            keys = np.column_stack([rows, lists])
+            cut = np.flatnonzero(np.concatenate(([True], (np.diff(keys, axis=0) != 1).any(axis=1))))
+            runs = None
+            if len(rows) * columns >= _RUN_ENTRIES * len(cut):
+                runs = list(zip(keys[cut].tolist(), np.diff(cut, append=len(rows)).tolist()))
         groups.append((rows, lists, runs))
-    return groups, np.concatenate(rest), np.concatenate(src)
+    return [(g, *(np.concatenate(x) if x else () for x in (r, s))) for g, r, s in plans]
 
 
 def _gathered_min(plan, table: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -682,23 +686,19 @@ def _drunk_table(g: Graph, k: int, opts: SolveOptions, state_cap: float, symmetr
     return (space, *_drunk(space, opts))
 
 
-def _smeared(space: _StateSpace, C: np.ndarray, out: np.ndarray, scratch=None) -> np.ndarray:
+def _smeared(space: _StateSpace, C, out, scratch=None, plan=None, occupied=None) -> np.ndarray:
     """out[c, y] = expected next value at config c after the robber steps
-    from y, with capture contributing zero.
-
-    Equals the substochastic cop-modified walk applied to row c: the columns
-    at cop vertices contribute nothing because the table is zero there, and
-    the cop-occupied rows are masked out explicitly. Where the space gathers
-    (`_StateSpace.gathers`) see `TwinColumns.smear`, which reads `scratch`,
-    a table like out, made here if None. All three are C-contiguous.
-    """
+    from y, capture contributing zero: the cop-modified walk applied to row c,
+    the table being zero at cop vertices and the flat indices `occupied` zeroed.
+    Where the space gathers (`_StateSpace.gathers`) see `TwinColumns.smear` by
+    `plan`, through the first rows of `scratch` (made if None); `plan` and
+    `occupied` default to the space's. All three tables are C-contiguous."""
     if space.gathers:
-        if scratch is None:
-            scratch = np.empty_like(out)
-        space.twins.smear(space.smear_plan, C, out, scratch)
+        space.twins.smear(space.smear_plan if plan is None else plan, C, out,
+                          np.empty_like(out) if scratch is None else scratch[:len(out)])
     else:
         np.matmul(C, space.walk.T, out=out)
-    out.reshape(-1)[space.occupied_at] = 0.0
+    out.reshape(-1)[space.occupied_at if occupied is None else occupied] = 0.0
     return out
 
 
@@ -725,12 +725,12 @@ def _sweeps(space: _StateSpace, step, opts: SolveOptions):
 
 def _drunk(space: _StateSpace, opts: SolveOptions):
     """`_sweeps` with 1 + the successor min of a stack of the m smear rows and
-    the P pair rows that slots read (see `_StateSpace.reads`), one level of
-    rows at a time: under Jacobi one level of every row, under Gauss-Seidel
-    the wavefronts of `_StateSpace.levels`. Before a level's min the step
-    smears the level before it (first the previous table's last, through the
-    spent update) and copies the pair rows that read it, columns permuted, so
-    Gauss-Seidel gives the ascending row loop's bits on the full space."""
+    the P pair rows that slots read (see `_StateSpace.reads`), by levels of
+    rows: under Jacobi one of every row, under Gauss-Seidel the wavefronts of
+    `_StateSpace.levels`, slices of one build over rows laid out by level.
+    Before a level's min the step smears the level before it (first the
+    previous table's last, through the spent update) and copies the pair rows
+    that read it, columns permuted: on the full space, the row loop's bits."""
     (m, columns), (elem, read), cols = space.shape, space.reads, space.cols
     if (states := (2 * m + len(read)) * columns) > 3 * space.state_cap:  # capped as 3 tables
         raise StateSpaceError(f"(2 x {m} table rows + {len(read)} stack rows) x {columns} robber "
@@ -738,48 +738,48 @@ def _drunk(space: _StateSpace, opts: SolveOptions):
     stack, (flat, start, size) = np.zeros((len(read), columns)), space.slots  # the smear of C = 0
     levels = space.levels if opts.scheme == "gauss-seidel" else [np.arange(m)]
     bounds, read, key = [0, *itertools.accumulate(map(len, levels))], read[m:], elem[m:]
-    fixes = [None], [None]  # one level reads the space's, listed in its first sweep (peak RSS)
-    if len(levels) > 1:  # each level's rows, and the pair rows that read it, laid end to end
-        place = np.argsort(order := np.concatenate(levels))
-        level = np.searchsorted(bounds, place[read], "right") - 1  # the level each pair row reads
-        by_level = np.argsort(level, kind="stable")
+    fixes, order = [(None, None, None)], slice(None)  # one level: the space's, listed in sweep 1
+    if len(levels) > 1:  # the rows by level, then width; the pair rows by the level they read
+        level = np.repeat(np.arange(len(levels)), np.diff(bounds))[np.argsort(np.concatenate(levels))]
+        place = np.argsort(order := np.lexsort((size, level)))
+        by_level = np.argsort(level[read], kind="stable")
         flat = np.concatenate((place, m + np.argsort(by_level)))[flat]
-        start, size = start[order], size[order]
-        read, key = place[read[by_level]], (level * len(cols) + key)[by_level]
-        fixes = [np.sort(place[f // columns] * columns + f % columns)  # capturable, occupied
-                 for f in (space.capturable, space.occupied_at)]
-        cuts = (np.searchsorted(f, np.multiply(bounds, columns)).tolist() for f in fixes)
-        fixes = [[f[a:b] for a, b in itertools.pairwise(cut)] for f, cut in zip(fixes, cuts)]
+        read, key = place[read[by_level]], (level[read] * len(cols) + key)[by_level]
+
+        def cut(f, *beside):  # per level, its rows' flat indices f (from its first row) and beside
+            by = np.argsort(lv := level[f // columns], kind="stable")  # within a level, any order
+            f = (place - np.take(bounds, level))[f // columns] * columns + f % columns
+            at = np.cumsum(np.bincount(lv, minlength=len(levels)))[:-1]
+            return zip(*(np.split(x[by], at) for x in (f, *beside)))
+        slots = (cut(d, s - d, w) for d, s, w in (space.smear_plan if space.gathers else ()))
+        fixes = [(cap, occ, [(d, d + s, w) for d, s, w in slot if len(d)]) for (cap,), (occ,), *slot
+                 in zip(cut(space.capturable), cut(space.occupied_at), *slots)]  # s: src - dst
     pairs, ends = [[] for _ in levels], [0, *(count := np.bincount(key)).cumsum().tolist()]
     for q in np.flatnonzero(count).tolist():  # the pair rows of one (level, element) key
         a, b = ends[q], ends[q + 1]
         pairs[q // len(cols)].append((read[a:b], cols[q % len(cols)], slice(m + a, m + b)))
-    steps = [(at, _min_plan(flat, start[at], size[at], stack.shape), *(f[i] for f in fixes),
-              space.gathers and space.twins.smear_plan(
-                  np.array([space.configs[x] for x in rows.tolist()]), space.occupied[rows]),
-              pairs[i]) for i, (at, rows) in enumerate(zip(map(slice, bounds, bounds[1:]), levels))]
+    plans = _min_plan(flat, start[order], size[order], stack.shape, bounds)
+    steps = list(zip(map(slice, bounds, bounds[1:]), plans, *zip(*fixes), pairs))
     scratch = np.empty((max(map(len, levels[:-1]), default=0), columns)) if space.gathers else None
     del flat, start, size  # only the plans read them (under Gauss-Seidel, copies)
 
     def step(C, out):
-        src, smears, (at, _, _, occupied, gather, pairs) = C, stack.reshape(-1), steps[-1]
+        src, (at, _, _, occupied, gather, pairs) = C, steps[-1]
         for level in steps:
             prev, smear = src[at], stack[at]
-            if space.gathers:
-                space.twins.smear(gather, prev, smear, (out if src is C else scratch)[:len(prev)])
-            elif len(steps) == 1:
-                np.matmul(prev, space.walk.T, out=smear)
+            if space.gathers or len(steps) == 1:
+                _smeared(space, prev, smear, out if src is C else scratch, gather, occupied)
             else:  # changed rows (all the previous table's) one product each, as the row loop
                 for i in range(len(prev)) if src is C else (prev != C[at]).any(1).nonzero()[0]:
                     np.matmul(space.walk, prev[i], out=smear[i])
-            smears[space.occupied_at if occupied is None else occupied] = 0.0
+                smear.reshape(-1)[occupied] = 0.0
             for rows, permuted, into in pairs:
                 # mode="clip": with the default "raise", take fills `out` through a buffer
                 stack[rows].take(permuted, axis=1, out=stack[into], mode="clip")
             at, plan, capturable, occupied, gather, pairs = level
             np.add(_gathered_min(plan, stack, new := out[at]), 1.0, out=new)
-            out.reshape(-1)[space.capturable if capturable is None else capturable] = 1.0
-            out.reshape(-1)[space.occupied_at if occupied is None else occupied] = 0.0
+            new.reshape(-1)[space.capturable if capturable is None else capturable] = 1.0
+            new.reshape(-1)[space.occupied_at if occupied is None else occupied] = 0.0
             src = out
 
     C, stats = _sweeps(space, step, opts)
@@ -860,10 +860,9 @@ def policy_value(
         raise ValueError("policy does not match the graph's configuration space")
     cols = np.arange(space.n)
     W = np.empty((space.m, space.n))
-    scratch = np.empty_like(W) if space.gathers else None
 
     def step(V, out):
-        np.add(_smeared(space, V, W, scratch)[idx, cols], 1.0, out=out)
+        np.add(_smeared(space, V, W, out)[idx, cols], 1.0, out=out)  # out: the gather's scratch
         out[space.occupied] = 0.0
 
     V, _ = _sweeps(space, step, opts)

@@ -261,6 +261,25 @@ def test_console_script_exit_codes():
     assert "Traceback" not in bad.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ("--family", "tree", "--d", "2", "--depth", "100000000"),
+    ("--family", "tree", "--d", "1000000000", "--depth", "10000000"),
+    ("--family", "grid", "--n", "1000000"),
+], ids=["tree-deep", "tree-wide", "grid"])
+def test_oversized_family_exits_2_at_once(argv):
+    # in a fresh process, so that a size check reached only after a hang or a
+    # 10^6-vertex path fails by the timeout; main's own time is printed
+    src = os.path.dirname(os.path.dirname(cc.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    timed = ("import sys, time; from copchase.cli import main; began = time.perf_counter(); "
+             "code = main(sys.argv[1:]); print(time.perf_counter() - began); sys.exit(code)")
+    done = subprocess.run([sys.executable, "-c", timed, "ct", *argv], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert done.returncode == 2 and float(done.stdout) < 1
+    assert done.stderr.startswith("error:") and "would have more than 10000000 vertices" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
 @pytest.mark.parametrize("argv,row", [
     # one vertex: the cop number is 1, and one cop starts on the robber
     (["--n", "1"], ["path", "1", "", "1", "0", "0", "", "0"]),

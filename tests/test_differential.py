@@ -191,7 +191,7 @@ def assert_gathered_min_matches_padded(g, k, seed=0):
         padded = padded_min(_padded_flat(*space.slots), table, np.empty((space.m, space.n)))
         # gathered rows, runs of slices wherever any, then every list at once
         for shape in ((0, 0), (0, 10**9), (10**9, 0)):
-            plan = solver._min_plan(*space.slots, shape)
+            plan, = solver._min_plan(*space.slots, shape)
             for piece_entries in (1, solver._PIECE_ENTRIES):  # a row per piece, then the default
                 with mock.patch.object(solver, "_PIECE_ENTRIES", piece_entries):
                     out = np.full((space.m, space.n), np.nan)

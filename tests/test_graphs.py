@@ -1,5 +1,7 @@
 import io
 import itertools
+import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -260,6 +262,26 @@ def test_edge_list_header_too_sparse_to_connect(n):
         tracemalloc.stop()
     assert peak < 64 * 1024
     assert cc.read_edge_list(io.StringIO("3 2\n0 1\n1 2\n")).n == 3
+
+
+@pytest.mark.parametrize("build, what", [
+    (lambda: cc.complete_tree(2, 10**8), "complete_tree(2, 100000000)"),
+    (lambda: cc.complete_tree(10**9, 10**7), "complete_tree(1000000000, 10000000)"),
+    (lambda: cc.grid(10**6), "grid(1000000)"),
+], ids=["tree-deep", "tree-wide", "grid"])
+def test_oversized_family_is_refused_before_it_is_built(build, what):
+    # the vertex count is bounded level by level: d ** (depth + 1) took 0.74 s
+    # and 70 MB at d = 2, and did not finish in 120 s at d = 10^9; grid(10^6)
+    # built its 10^6-vertex factor path (621 MB max RSS) before the check
+    tracemalloc.start()
+    began = time.perf_counter()
+    try:
+        with pytest.raises(GraphError, match=rf"^{re.escape(what)} would have more than 10000000 vertices$"):
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - began < 1 and peak < 2**20
 
 
 def automorphisms(g):

@@ -170,6 +170,31 @@ def test_lumped_drunk_memory_in_bytes():
     assert peak <= 6 * space.m * space.shape[1] * 8
 
 
+@pytest.mark.parametrize("scheme", solver.SCHEMES)
+def test_one_plan_build_per_drunk_solve(scheme, monkeypatch):
+    # every level's min plan and smear corrections are cut from one build over
+    # the rows, and the policy reads the smear plan the sweeps read: on P200's
+    # 200 levels, a build per level made 200 min plans and 201 smear plans,
+    # and Jacobi built the space's smear plan once for its sweeps and once more
+    # for the policy
+    calls = {"_min_plan": 0, "smear_plan": 0}
+
+    def counted(name, build):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return build(*args, **kwargs)
+        return wrapper
+
+    g = cc.path(200)
+    assert len(_StateSpace(g, 1, math.inf).levels) == 200
+    monkeypatch.setattr(solver, "_min_plan", counted("_min_plan", solver._min_plan))
+    monkeypatch.setattr(solver.TwinColumns, "smear_plan",
+                        counted("smear_plan", solver.TwinColumns.smear_plan))
+    sol = cc.solve_drunk(g, 1, cc.SolveOptions(scheme=scheme))
+    assert sol.values.values.shape == (200, 200)
+    assert calls == {"_min_plan": 1, "smear_plan": 1}
+
+
 @pytest.mark.parametrize("g,k", [(cc.lollipop(150, 0.6), 1), (cc.cycle(120), 2), (cc.grid(10), 2)],
                          ids=["L150k1", "C120k2", "G10k2"])
 def test_gauss_seidel_memory_in_bytes(g, k):
